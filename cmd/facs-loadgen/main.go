@@ -2,9 +2,8 @@
 // call workload and reports sustained admissions/sec plus p50/p99
 // admission latency.
 //
-// Unlike facs-client (a closed-loop mini-benchmark whose next request
-// waits for the previous response), facs-loadgen schedules every arrival
-// in advance from a scenario-library rate profile — the flash-crowd 8x
+// Unlike a closed-loop driver (whose next request waits for the previous
+// response), facs-loadgen schedules every arrival in advance from a scenario-library rate profile — the flash-crowd 8x
 // spike or the diurnal city curve, time-scaled to -duration — so an
 // overloaded daemon keeps receiving the full offered load and its
 // shedding behaviour and tail latency become visible. Latency is

@@ -18,11 +18,12 @@
 // (the table-compiled distilled controller, internal/learned).
 //
 // The daemon serves -cells independent cells, each with its own admission
-// controller of the chosen scheme and its own worker goroutine; requests
-// address a cell with the wire "cell" field. Every cell's pending-request
-// queue is bounded at -queue entries: a request arriving at a full queue
-// is shed immediately with an "overloaded" error response instead of
-// growing server memory without limit.
+// controller of the chosen scheme and its own lock; requests address a
+// cell with the wire "cell" field. Each session runs its requests on the
+// cell under that lock, and at most -queue requests may wait there behind
+// the running one: a request arriving when -queue are already waiting is
+// shed immediately with an "overloaded" error response instead of piling
+// up without limit.
 //
 // # Wire protocol
 //
@@ -66,18 +67,18 @@
 //	<- {"v":1,"ok":true,"occupancy":0,"capacity":40,"scheme":"FACS-P"}
 //
 // Every response carries "occupancy", "capacity" and "scheme", reporting
-// the state its own operation produced (the daemon serialises each cell's
-// mutations through one worker, so the numbers are exact, not racy
-// read-afters). Errors — an unknown op, class or cell, a bad version, a
+// the state its own operation produced (the daemon runs each cell's
+// operations one at a time under the cell's lock, so the numbers are
+// exact, not racy read-afters). Errors — an unknown op, class or cell, a bad version, a
 // duplicate admit, a release of a connection not admitted on the session —
 // answer with "ok":false and the message in "err":
 //
 //	<- {"v":1,"ok":false,"err":"bsd: connection 7 not admitted on this session","occupancy":0,"capacity":40,"scheme":"FACS-P"}
 //
-// A request shed because its cell's bounded queue was full additionally
-// carries the machine-readable "code":"overloaded" so load generators and
-// neighbour cells can tell backpressure from protocol bugs; the request
-// had no effect and may be retried:
+// A request shed because -queue requests were already waiting at its cell
+// additionally carries the machine-readable "code":"overloaded" so load
+// generators and neighbour cells can tell backpressure from protocol bugs;
+// the request had no effect and may be retried:
 //
 //	<- {"v":1,"ok":false,"err":"bsd: cell 0 overloaded: request queue full","code":"overloaded","occupancy":37,"capacity":40,"scheme":"FACS-P"}
 //
@@ -100,9 +101,9 @@
 // process-wide decision-surface cache counters. GET /hotcells serves a
 // JSON ranking of the cells by recent admission demand, hottest first
 // (?n=K limits it to the K hottest). -hotness-halflife sets the decay
-// half-life of the demand estimate. The counters live in the cell
-// workers' hot path as plain atomic adds, so scraping never blocks or
-// slows admission.
+// half-life of the demand estimate. The counters live on the admission
+// hot path as plain atomic adds, so scraping never takes a cell lock and
+// never slows admission.
 //
 // -surface-tiers enables hotness-adaptive tiered decision surfaces for
 // the fuzzy schemes (facsp, facs): cold cells share one coarse

@@ -208,8 +208,8 @@ func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 // assert script consistent: the serving smoke must call
 // scripts/ci-smoke-asserts.sh (not re-inlined one-liners), the script
 // must exist, be executable and implement every subcommand the workflow
-// invokes, and the leaderboard job, run cancellation and staticcheck
-// binary cache must stay wired.
+// invokes, and the leaderboard job, run cancellation, staticcheck binary
+// cache and the nested benchmark module's race test must stay wired.
 func TestDocsCIWorkflowWiring(t *testing.T) {
 	ci := readDoc(t, ".github/workflows/ci.yml")
 	for _, token := range []string{
@@ -218,6 +218,7 @@ func TestDocsCIWorkflowWiring(t *testing.T) {
 		"-gate",
 		"cancel-in-progress: true",
 		"staticcheck-cache",
+		"cd benchmark && go test -race ./...",
 	} {
 		if !strings.Contains(ci, token) {
 			t.Errorf("ci.yml does not contain %q", token)

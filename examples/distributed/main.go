@@ -1,6 +1,6 @@
 // Distributed: run a base-station admission daemon and drive it over TCP,
-// all in one process — the deployment shape of cmd/facs-server and
-// cmd/facs-client, self-contained for easy reading.
+// all in one process — the deployment shape of cmd/facs-server and its
+// wire-protocol clients, self-contained for easy reading.
 //
 // Three handsets connect to the cell; one of them crashes mid-call and the
 // daemon reclaims its bandwidth automatically.

@@ -5,22 +5,22 @@
 //
 // The daemon is production-shaped in two ways. First, admission state is
 // sharded per cell: every cell has its own cac.Controller and its own
-// worker goroutine, and a request addresses a cell with the wire
-// protocol's "cell" field. All mutations of a cell's controller flow
-// through its worker, so each response reports the occupancy produced by
-// its own operation — atomically, not a racy read-after. Second, load is
-// bounded: each cell worker consumes from a bounded queue, and a request
-// arriving at a full queue is shed immediately with an explicit
-// "overloaded" error response (wire.CodeOverloaded) instead of growing
-// memory without limit.
+// lock, and a request addresses a cell with the wire protocol's "cell"
+// field. Each session runs its request against the cell under that lock,
+// so each response reports the occupancy produced by its own operation —
+// atomically, not a racy read-after. Second, load is bounded: a cell
+// counts the requests running or waiting at its lock, and a request
+// arriving when QueueDepth are already waiting behind the running one is
+// shed immediately with an explicit "overloaded" error response
+// (wire.CodeOverloaded) instead of queueing without limit.
 //
 // The daemon is also deliberately defensive, the way a long-lived network
 // element has to be: per-session state is tracked so that a client that
 // disconnects (crashes, times out, is partitioned away) automatically
 // releases every bandwidth unit it was granted, malformed input yields an
 // error response rather than a dropped session, line length is bounded,
-// and Close drains cleanly — live sessions are torn down, their grants
-// released, and Serve returns only when every cell worker has stopped.
+// and Close drains cleanly — live sessions are torn down, and Serve
+// returns only when every grant has been released.
 package bsd
 
 import (
@@ -39,10 +39,10 @@ import (
 	"facsp/internal/wire"
 )
 
-// DefaultQueueDepth is the per-cell bounded queue depth used when
-// Config.QueueDepth is unset: deep enough to ride out bursts of a few
-// hundred concurrent sessions, shallow enough that a stalled controller
-// sheds instead of buffering unbounded work.
+// DefaultQueueDepth is the per-cell bound on requests waiting at the cell
+// lock used when Config.QueueDepth is unset: deep enough to ride out
+// bursts of a few hundred concurrent sessions, shallow enough that a
+// stalled controller sheds instead of piling up waiters.
 const DefaultQueueDepth = 256
 
 // DefaultHotnessHalfLife is the hotness tracker's half-life when
@@ -59,7 +59,7 @@ const DefaultTierInterval = time.Second
 // TierSampler is the hotness-adaptive tiered decision-surface selector of
 // the daemon's fuzzy controllers, satisfied by core.Tiered. The daemon
 // feeds it every cell's hotness rate at Config.TierInterval (never on the
-// admit path — each cell worker's controller reads its tier off its own
+// admit path — each cell's controller reads its tier off its own
 // provider row) and exposes the tier of every cell plus the tier-occupancy
 // histogram on /metrics. Declared here as an interface so bsd does not
 // depend on internal/core.
@@ -82,8 +82,9 @@ type Config struct {
 	// Every controller must be safe for concurrent use (all controllers
 	// in this repository are). Must be non-empty.
 	Cells []cac.Controller
-	// QueueDepth bounds every cell's pending-request queue. A request
-	// arriving at a full queue is shed with a wire.CodeOverloaded error
+	// QueueDepth bounds how many requests may wait at a cell's lock
+	// behind the one it is running. A request arriving when QueueDepth
+	// are already waiting is shed with a wire.CodeOverloaded error
 	// response. Zero or negative means DefaultQueueDepth.
 	QueueDepth int
 	// HotnessHalfLife configures the per-cell admission-demand tracker
@@ -101,24 +102,17 @@ type Config struct {
 	TierInterval time.Duration
 }
 
-// task is one operation routed to a cell worker. reply is buffered (cap
-// 1) so a worker never blocks on a vanished submitter.
-type task struct {
-	op    wire.Op
-	creq  cac.Request
-	class traffic.Class // admit only: the counter column of the outcome
-	reply chan wire.Response
-}
-
-// cell is one shard of admission state: a controller plus the worker
-// queue that serialises every mutation of it.
+// cell is one shard of admission state: a controller plus the lock that
+// serialises every operation on it.
 type cell struct {
 	index int
 	ctrl  cac.Controller
-	tasks chan task
-	// reg is the daemon's telemetry registry; the worker is the sole
-	// writer of this cell's counter row, so every bump is one atomic add
-	// with no lock and no allocation.
+	mu    sync.Mutex
+	// pending counts the requests running or waiting at mu; process sheds
+	// a request that would raise it above Server.maxPending.
+	pending atomic.Int64
+	// reg is the daemon's telemetry registry; every bump of this cell's
+	// counter row is one atomic add with no allocation.
 	reg *metrics.Registry
 	// degraded reads the controller's current degradation depth (number
 	// of connections served below request); nil for non-adaptive schemes.
@@ -154,10 +148,12 @@ type Server struct {
 	// collisions. Non-adaptive schemes ignore IDs entirely.
 	nextID atomic.Uint64
 
-	// shed counts requests dropped because a cell queue was full.
+	// maxPending is QueueDepth+1: the running request plus its waiters.
+	maxPending int64
+	// shed counts requests dropped because their cell was at maxPending.
 	shed atomic.Uint64
 
-	workers  sync.WaitGroup
+	sampler  sync.WaitGroup
 	stopOnce sync.Once
 
 	mu      sync.Mutex
@@ -167,7 +163,7 @@ type Server struct {
 	closed  bool
 }
 
-// New builds a daemon from a config, starting one worker per cell.
+// New builds a daemon from a config.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Cells) == 0 {
 		return nil, fmt.Errorf("bsd: no cells configured")
@@ -189,16 +185,17 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("bsd: %w", err)
 	}
 	s := &Server{
-		conns:   make(map[net.Conn]bool),
-		metrics: reg,
-		hot:     hot,
-		start:   time.Now(),
+		conns:      make(map[net.Conn]bool),
+		metrics:    reg,
+		hot:        hot,
+		start:      time.Now(),
+		maxPending: int64(depth) + 1,
 	}
 	for i, ctrl := range cfg.Cells {
 		if ctrl == nil {
 			return nil, fmt.Errorf("bsd: nil controller for cell %d", i)
 		}
-		c := &cell{index: i, ctrl: ctrl, tasks: make(chan task, depth), reg: reg}
+		c := &cell{index: i, ctrl: ctrl, reg: reg}
 		if d, ok := ctrl.(interface{ Degraded() int }); ok {
 			c.degraded = d.Degraded
 		}
@@ -206,16 +203,8 @@ func New(cfg Config) (*Server, error) {
 		reg.SetGauge(i, metrics.OccupancyBU, ctrl.Occupancy())
 		s.cells = append(s.cells, c)
 	}
-	for _, c := range s.cells {
-		s.workers.Add(1)
-		go func(c *cell) {
-			defer s.workers.Done()
-			c.run()
-		}(c)
-	}
 	if cfg.Tiers != nil {
 		if n := cfg.Tiers.NumCells(); n < len(cfg.Cells) {
-			s.stopWorkers()
 			return nil, fmt.Errorf("bsd: tier selector covers %d cells, daemon serves %d", n, len(cfg.Cells))
 		}
 		interval := cfg.TierInterval
@@ -224,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.tiers = cfg.Tiers
 		s.tierQuit = make(chan struct{})
-		s.workers.Add(1)
+		s.sampler.Add(1)
 		go s.tierSampler(interval)
 	}
 	return s, nil
@@ -232,10 +221,10 @@ func New(cfg Config) (*Server, error) {
 
 // tierSampler is the daemon's tier-promotion clock: at every interval it
 // reads the whole hotness rate vector once and feeds it to the selector.
-// Admits never touch it — each cell worker's controller reads its tier off
-// its own provider row.
+// Admits never touch it — each cell's controller reads its tier off its
+// own provider row.
 func (s *Server) tierSampler(interval time.Duration) {
-	defer s.workers.Done()
+	defer s.sampler.Done()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	var buf []float64
@@ -263,8 +252,8 @@ func NewServer(ctrl cac.Controller) (*Server, error) {
 // Cells returns the number of cells the daemon serves.
 func (s *Server) Cells() int { return len(s.cells) }
 
-// Shed returns the number of requests shed so far because a cell's
-// bounded queue was full.
+// Shed returns the number of requests shed so far because QueueDepth
+// requests were already waiting at their cell.
 func (s *Server) Shed() uint64 { return s.shed.Load() }
 
 // Metrics returns the daemon's per-cell telemetry registry. It is live:
@@ -282,7 +271,7 @@ func (s *Server) Uptime() float64 { return time.Since(s.start).Seconds() }
 // Serve accepts connections on ln until Close is called. It always
 // returns a non-nil error; after Close the error is net.ErrClosed. When
 // it returns via Close, the daemon has fully drained: every session is
-// torn down, every grant released, and every cell worker stopped.
+// torn down, every grant released, and the tier sampler stopped.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -295,10 +284,10 @@ func (s *Server) Serve(ln net.Listener) error {
 
 	var wg sync.WaitGroup
 	defer func() {
-		// Sessions first — their disconnect cleanup routes releases
-		// through the cell workers — then the workers themselves.
+		// Sessions first — their disconnect cleanup releases every
+		// grant — then the tier sampler.
 		wg.Wait()
-		s.stopWorkers()
+		s.stopSampler()
 	}()
 	for {
 		conn, err := ln.Accept()
@@ -343,83 +332,76 @@ func (s *Server) Close() error {
 		_ = c.Close()
 	}
 	if !serving {
-		// No accept loop will run the drain; stop the idle workers here.
-		s.stopWorkers()
+		// No accept loop will run the drain; stop the sampler here.
+		s.stopSampler()
 	}
 	return err
 }
 
-// stopWorkers closes every cell queue (and the tier sampler) and waits
-// for the workers to finish. It must only run when no session can submit
-// again.
-func (s *Server) stopWorkers() {
+// stopSampler stops the tier sampler, if any, and waits for it to exit.
+func (s *Server) stopSampler() {
 	s.stopOnce.Do(func() {
-		for _, c := range s.cells {
-			close(c.tasks)
-		}
 		if s.tierQuit != nil {
 			close(s.tierQuit)
+			s.sampler.Wait()
 		}
-		s.workers.Wait()
 	})
 }
 
-// run is a cell worker: the sole mutator of its controller. Because every
-// admit and release flows through here in sequence, the occupancy each
-// response carries is exactly the occupancy its own operation produced.
-func (c *cell) run() {
-	for t := range c.tasks {
-		resp := wire.Response{
-			V:        wire.Version,
-			OK:       true,
-			Cell:     c.index,
-			Capacity: c.ctrl.Capacity(),
-			Scheme:   cac.Name(c.ctrl),
-		}
-		switch t.op {
-		case wire.OpStatus:
-			resp.Occupancy = c.ctrl.Occupancy()
-
-		case wire.OpAdmit:
-			d := c.ctrl.Admit(t.creq)
-			resp.Accept = d.Accept
-			resp.Score = d.Score
-			resp.Outcome = d.Outcome
-			resp.Allocated = d.Allocated
-			// The decision reports the occupancy it produced, observed
-			// under the controller's own lock (cac.Decision.Occupancy).
-			resp.Occupancy = d.Occupancy
-			// The worker owns this cell's counter row: one atomic add,
-			// no lock, no allocation. A denied handoff is a dropped
-			// on-going connection; a denied new call is a block.
-			switch {
-			case d.Accept:
-				c.reg.Inc(c.index, metrics.Admits(t.class))
-			case t.creq.Handoff:
-				c.reg.Inc(c.index, metrics.Drops(t.class))
-			default:
-				c.reg.Inc(c.index, metrics.Blocks(t.class))
-			}
-
-		case wire.OpRelease:
-			if err := c.ctrl.Release(t.creq); err != nil {
-				resp.OK = false
-				resp.Err = err.Error()
-			}
-			// Exact even without a decision struct: this worker is the
-			// sole mutator, so nothing interleaves between the release
-			// and this read.
-			resp.Occupancy = c.ctrl.Occupancy()
-		}
-		c.reg.SetGauge(c.index, metrics.OccupancyBU, resp.Occupancy)
-		if c.degraded != nil {
-			c.reg.SetGauge(c.index, metrics.DegradedConns, float64(c.degraded()))
-		}
-		t.reply <- resp
+// do runs one operation on the cell under its lock. Because every admit
+// and release of the cell runs here in turn, the occupancy each response
+// carries is exactly the occupancy its own operation produced.
+func (c *cell) do(op wire.Op, creq cac.Request, class traffic.Class) wire.Response {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp := wire.Response{
+		V:        wire.Version,
+		OK:       true,
+		Cell:     c.index,
+		Capacity: c.ctrl.Capacity(),
+		Scheme:   cac.Name(c.ctrl),
 	}
+	switch op {
+	case wire.OpStatus:
+		resp.Occupancy = c.ctrl.Occupancy()
+
+	case wire.OpAdmit:
+		d := c.ctrl.Admit(creq)
+		resp.Accept = d.Accept
+		resp.Score = d.Score
+		resp.Outcome = d.Outcome
+		resp.Allocated = d.Allocated
+		// The decision reports the occupancy it produced, observed
+		// under the controller's own lock (cac.Decision.Occupancy).
+		resp.Occupancy = d.Occupancy
+		// One atomic add, no allocation. A denied handoff is a dropped
+		// on-going connection; a denied new call is a block.
+		switch {
+		case d.Accept:
+			c.reg.Inc(c.index, metrics.Admits(class))
+		case creq.Handoff:
+			c.reg.Inc(c.index, metrics.Drops(class))
+		default:
+			c.reg.Inc(c.index, metrics.Blocks(class))
+		}
+
+	case wire.OpRelease:
+		if err := c.ctrl.Release(creq); err != nil {
+			resp.OK = false
+			resp.Err = err.Error()
+		}
+		// Exact even without a decision struct: the cell lock is held,
+		// so nothing interleaves between the release and this read.
+		resp.Occupancy = c.ctrl.Occupancy()
+	}
+	c.reg.SetGauge(c.index, metrics.OccupancyBU, resp.Occupancy)
+	if c.degraded != nil {
+		c.reg.SetGauge(c.index, metrics.DegradedConns, float64(c.degraded()))
+	}
+	return resp
 }
 
-// overloaded is the shed response for a full cell queue.
+// overloaded is the shed response for a cell at its pending bound.
 func (c *cell) overloaded() wire.Response {
 	return wire.Response{
 		V:         wire.Version,
@@ -439,13 +421,11 @@ func (s *Server) handle(conn net.Conn) {
 	// cannot leak bandwidth.
 	grants := make(map[grantKey]cac.Request)
 	defer func() {
-		// Route the cleanup releases through the cell workers too: they
-		// must not race the responses of live sessions. The blocking
-		// submit is safe — workers stop only after every session exits.
+		// Cleanup releases take the cell lock like any other operation,
+		// so they cannot race the responses of live sessions, and they
+		// are never shed: a vanished client must not leak its grants.
 		for key, creq := range grants {
-			t := task{op: wire.OpRelease, creq: creq, reply: make(chan wire.Response, 1)}
-			s.cells[key.cell].tasks <- t
-			<-t.reply
+			s.cells[key.cell].do(wire.OpRelease, creq, 0)
 		}
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -473,7 +453,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // errResponse builds an error reply, carrying the addressed cell's
 // snapshot state when the index resolves. Error replies are advisory —
-// they do not claim the atomic occupancy of a worker-serialised op.
+// they do not claim the atomic occupancy of an op run under the cell lock.
 func (s *Server) errResponse(cellIdx int, err error) wire.Response {
 	resp := wire.Response{V: wire.Version, OK: false, Err: err.Error(), Cell: cellIdx}
 	if cellIdx >= 0 && cellIdx < len(s.cells) {
@@ -485,10 +465,10 @@ func (s *Server) errResponse(cellIdx int, err error) wire.Response {
 	return resp
 }
 
-// process validates one request, routes it to its cell worker, and
-// applies the outcome to the session's grant table. Session-level errors
-// (bad version, unknown cell, duplicate admit, unknown release) are
-// answered without touching the cell queue.
+// process validates one request, runs it on its cell, and applies the
+// outcome to the session's grant table. Session-level errors (bad
+// version, unknown cell, duplicate admit, unknown release) are answered
+// without touching the cell.
 func (s *Server) process(req wire.Request, grants map[grantKey]cac.Request) wire.Response {
 	if err := req.Validate(); err != nil {
 		return s.errResponse(req.Cell, err)
@@ -499,45 +479,47 @@ func (s *Server) process(req wire.Request, grants map[grantKey]cac.Request) wire
 	}
 	c := s.cells[req.Cell]
 	key := grantKey{cell: req.Cell, id: req.ID}
-	t := task{op: req.Op, reply: make(chan wire.Response, 1)}
+	var (
+		creq  cac.Request
+		class traffic.Class // admit only: the counter column of the outcome
+	)
 
 	switch req.Op {
 	case wire.OpAdmit:
 		if _, dup := grants[key]; dup {
 			return s.errResponse(req.Cell, fmt.Errorf("bsd: connection %d already admitted on this session", req.ID))
 		}
-		creq, err := req.CACRequest()
-		if err != nil {
+		var err error
+		if creq, err = req.CACRequest(); err != nil {
 			return s.errResponse(req.Cell, err)
 		}
-		creq.ID = s.nextID.Add(1) // client IDs are session-scoped; see nextID
-		t.creq = creq
-		t.class, _ = wire.ParseClass(req.Class) // validated above
+		// Client IDs are session-scoped; see nextID.
+		creq.ID = s.nextID.Add(1)
+		class, _ = wire.ParseClass(req.Class) // validated above
 		// Admission demand — including requests about to be shed — feeds
 		// the cell's decaying hotness signal.
 		s.hot.Record(req.Cell, s.Uptime())
 	case wire.OpRelease:
-		creq, ok := grants[key]
-		if !ok {
+		var ok bool
+		if creq, ok = grants[key]; !ok {
 			return s.errResponse(req.Cell, fmt.Errorf("bsd: connection %d not admitted on this session", req.ID))
 		}
-		t.creq = creq
 	}
 
-	// Bounded admission to the cell queue: shed rather than buffer
-	// without limit.
-	select {
-	case c.tasks <- t:
-	default:
+	// Bounded waiting at the cell lock: with QueueDepth requests already
+	// waiting behind the running one, shed rather than wait.
+	if c.pending.Add(1) > s.maxPending {
+		c.pending.Add(-1)
 		s.shed.Add(1)
 		s.metrics.Inc(req.Cell, metrics.CtrShed)
 		return c.overloaded()
 	}
-	resp := <-t.reply
+	resp := c.do(req.Op, creq, class)
+	c.pending.Add(-1)
 	if resp.OK {
 		switch {
 		case req.Op == wire.OpAdmit && resp.Accept:
-			grants[key] = t.creq
+			grants[key] = creq
 		case req.Op == wire.OpRelease:
 			delete(grants, key)
 		}

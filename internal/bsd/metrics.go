@@ -21,7 +21,7 @@ import (
 //     ?n=K limits the ranking to the K hottest cells.
 //
 // The handler reads live atomics and is safe to serve concurrently with
-// admission traffic and with Close; it never blocks a cell worker.
+// admission traffic and with Close; it never takes a cell lock.
 func (s *Server) MetricsHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.serveMetrics)

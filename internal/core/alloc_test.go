@@ -10,7 +10,7 @@ import (
 
 // TestSurfaceAdmitAllocFree pins the serving hot path: a surface-backed
 // FACS-P controller decides an admission (and takes the release) without
-// allocating. This is the per-request cost the bsd cell workers and the
+// allocating. This is the per-request cost the bsd daemon's cells and the
 // experiment sweeps pay millions of times; the exact-inference path is
 // allowed to allocate (it builds Mamdani aggregates), the compiled-surface
 // path is not. Gated out of -race because the detector instruments

@@ -32,8 +32,8 @@ type Tracker struct {
 }
 
 // cell is one decaying counter. Its mutex makes the (value, last) pair
-// atomic; with one dominant writer per cell (the bsd cell worker, the
-// single-threaded sim loop) it is uncontended outside scrapes.
+// atomic; its writers are the bsd sessions admitting on the cell or the
+// single-threaded sim loop, so it is rarely contended outside scrapes.
 type cell struct {
 	mu    sync.Mutex
 	value float64

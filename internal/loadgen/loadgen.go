@@ -2,9 +2,9 @@
 // workload: arrivals fire on a schedule drawn in advance from a
 // scenario-library rate profile, NOT in response to completions, so a
 // slow or overloaded daemon faces the same offered load a fast one does.
-// Closed-loop drivers (like cmd/facs-client) self-throttle — every
-// in-flight request gates the next — which silently converts server
-// slowness into reduced load and hides tail latency. The open-loop
+// Closed-loop drivers self-throttle — every in-flight request gates the
+// next — which silently converts server slowness into reduced load and
+// hides tail latency. The open-loop
 // schedule plus latency measured from each request's *scheduled* send
 // time avoids that coordinated omission: a request delayed behind a slow
 // round trip is charged for the wait.
@@ -152,9 +152,10 @@ func (h *releaseHeap) Pop() any          { old := *h; n := len(old); x := old[n-
 
 // Result aggregates one run.
 type Result struct {
-	// Offered counts admission requests actually sent; Accepted,
-	// Rejected and Shed partition their outcomes (shed = the daemon's
-	// bounded queue was full, wire code "overloaded").
+	// Offered counts admission requests actually sent; each ends as
+	// exactly one of Accepted, Rejected, Shed (the daemon's cell was at
+	// its pending bound, wire code "overloaded") or Errors. A shed
+	// release is retried and counted in none of them.
 	Offered  int
 	Accepted int
 	Rejected int
@@ -367,9 +368,9 @@ func runWorker(addr string, mine []arrival, start time.Time) tally {
 			switch {
 			case resp.OK:
 			case resp.Code == wire.CodeOverloaded:
-				// Shed release: retry immediately-due so the call does
-				// not leak for the rest of the run.
-				t.shed++
+				// Shed release: retry shortly so the call does not leak
+				// for the rest of the run. Shed counts admits only (the
+				// daemon's facs_shed_total counts both).
 				rel.at += 10 * time.Millisecond
 				heap.Push(&pending, rel)
 			default:

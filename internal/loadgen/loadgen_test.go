@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"facsp/internal/baseline"
 	"facsp/internal/bsd"
 	"facsp/internal/cac"
 	"facsp/internal/core"
@@ -159,6 +160,78 @@ func TestRunAgainstLiveDaemon(t *testing.T) {
 	}
 	if res.AdmitsPerSec <= 0 {
 		t.Errorf("no throughput: %s", res)
+	}
+}
+
+// slowCtrl is a controller that takes pause per admit and release, so a
+// depth-1 daemon in front of it sheds both.
+type slowCtrl struct {
+	cac.Controller
+	pause time.Duration
+}
+
+func (c slowCtrl) Admit(r cac.Request) cac.Decision {
+	time.Sleep(c.pause)
+	return c.Controller.Admit(r)
+}
+
+func (c slowCtrl) Release(r cac.Request) error {
+	time.Sleep(c.pause)
+	return c.Controller.Release(r)
+}
+
+// TestShedReleasesKeepTheIdentity overloads a depth-1 daemon so that it
+// sheds admits and releases alike. A shed release is retried, not
+// counted, so offered still equals accepted + rejected + shed + errors.
+func TestShedReleasesKeepTheIdentity(t *testing.T) {
+	inner, err := baseline.NewCompleteSharing(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := bsd.New(bsd.Config{Cells: []cac.Controller{slowCtrl{inner, time.Millisecond}}, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln)
+	}()
+	defer func() {
+		_ = srv.Close()
+		<-done
+	}()
+
+	res, err := Run(Config{
+		Addr:     ln.Addr().String(),
+		Duration: 300 * time.Millisecond,
+		Rate:     2000,
+		Conns:    8,
+		Seed:     1,
+		HoldMean: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("protocol errors against a healthy daemon: %s", res)
+	}
+	if got := res.Accepted + res.Rejected + res.Shed + res.Errors; got != res.Offered {
+		t.Errorf("outcomes %d do not partition offered %d: %s", got, res.Offered, res)
+	}
+	if res.Shed == 0 {
+		t.Errorf("no admit was shed: %s", res)
+	}
+	// The daemon counts every shed request; the loadgen only shed admits.
+	if shed := srv.Shed(); shed <= uint64(res.Shed) {
+		t.Errorf("daemon shed %d requests, all admits: no release was shed", shed)
+	}
+	if occ := inner.Occupancy(); occ != 0 {
+		t.Errorf("occupancy %v after every call ended", occ)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package metrics is the repository's observability registry: dense-array
 // per-cell counters and gauges for the admission planes (the bsd daemon's
-// cell workers and the cellsim event loop), plus the Prometheus text
+// sessions and the cellsim event loop), plus the Prometheus text
 // exposition they are served in.
 //
 // The design constraint is the simulation and serving hot paths: recording

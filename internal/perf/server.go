@@ -42,8 +42,8 @@ func startDaemon(cells int, capacity float64) (string, error) {
 
 // serverRoundtripSpec measures one closed-loop admit+release pair per op
 // over real loopback TCP — the wire-protocol analogue of micro/admit:
-// JSON framing, the session grant table and the per-cell worker queue on
-// top of the controller itself.
+// JSON framing, the session grant table and the per-cell lock on top of
+// the controller itself.
 func serverRoundtripSpec() Spec {
 	return Spec{Name: "server/roundtrip", Smoke: true, New: func() (Body, error) {
 		addr, err := startDaemon(1, 40)
