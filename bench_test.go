@@ -30,8 +30,11 @@ func BenchmarkPerf(b *testing.B) {
 
 // TestSurfaceAdmitSpeedup enforces the surface cache's reason to exist: the
 // cached Admit hot path must be at least 5x faster than exact inference.
-// Measured headroom is typically >20x, so the bar holds even on loaded CI
-// machines.
+// With the allocation-free exact path the measured ratio is ~7x on a
+// 2-vCPU host (exact ~1.8 us, surface-cached ~0.26 us per Admit+Release of
+// this request), so the windows of the two controllers are interleaved: a
+// stretch of host noise then slows both sides instead of only the one
+// measured during it.
 func TestSurfaceAdmitSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -45,36 +48,33 @@ func TestSurfaceAdmitSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := facsp.NewRequest(facsp.Voice, 60, 15)
-	// Best of several windows: a single GC pause or scheduler stall landing
-	// in one (sub-millisecond) cached window must not flip the verdict.
-	measure := func(ctrl facsp.Controller, n, rounds int) time.Duration {
-		// Warm up (and warm the shared surface cache) before timing.
-		for i := 0; i < 50; i++ {
+	run := func(ctrl facsp.Controller, n int) time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
 			if d := ctrl.Admit(req); d.Accept {
 				if err := ctrl.Release(req); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		best := time.Duration(0)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			for i := 0; i < n; i++ {
-				if d := ctrl.Admit(req); d.Accept {
-					if err := ctrl.Release(req); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
+		return time.Since(start)
 	}
-	const n = 5000
-	exactD := measure(exact, n, 3)
-	cachedD := measure(cached, n, 5)
+	// Warm up (and warm the shared surface cache) before timing, then keep
+	// the best of several windows per side: a single GC pause or scheduler
+	// stall landing in one (sub-millisecond) cached window must not flip
+	// the verdict.
+	run(exact, 50)
+	run(cached, 50)
+	const n, rounds = 5000, 7
+	var exactD, cachedD time.Duration
+	for r := 0; r < rounds; r++ {
+		if d := run(exact, n); exactD == 0 || d < exactD {
+			exactD = d
+		}
+		if d := run(cached, n); cachedD == 0 || d < cachedD {
+			cachedD = d
+		}
+	}
 	ratio := float64(exactD) / float64(cachedD)
 	t.Logf("exact %v, surface-cached %v for %d admissions: %.1fx", exactD, cachedD, n, ratio)
 	if ratio < 5 {

@@ -81,17 +81,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-func (c Config) engineOptions() []fuzzy.Option {
-	var opts []fuzzy.Option
-	if c.Defuzzifier != nil {
-		opts = append(opts, fuzzy.WithDefuzzifier(c.Defuzzifier))
-	}
-	if c.Samples > 0 {
-		opts = append(opts, fuzzy.WithSamples(c.Samples))
-	}
-	return opts
-}
-
 // Decision is the rich, fuzzy-specific verdict produced by the FACS family.
 // It embeds the scheme-independent cac.Decision and adds the intermediate
 // quantities the paper's block diagram exposes (Fig. 4).
@@ -131,13 +120,9 @@ func NewFACS(cfg Config) (*FACS, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	flc1, err := NewFLC1(cfg.engineOptions()...)
+	flc1, flc2, err := flcPair(cfg.Samples, cfg.Defuzzifier)
 	if err != nil {
-		return nil, fmt.Errorf("core: building FLC1: %w", err)
-	}
-	flc2, err := NewFLC2(cfg.engineOptions()...)
-	if err != nil {
-		return nil, fmt.Errorf("core: building FLC2: %w", err)
+		return nil, err
 	}
 	f := &FACS{flc1: flc1, flc2: flc2, cfg: cfg}
 	if cfg.SurfaceResolution > 0 {

@@ -119,11 +119,11 @@ func inferScore(flc1, flc2 *fuzzy.Engine, surf1, surf2 *fuzzy.Surface,
 		}
 		return cv, score, outcome, nil
 	}
-	res, err := flc2.InferDetail(cv, bandwidth, cs)
+	score, best, err := flc2.InferBest(cv, bandwidth, cs)
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("core: FLC2: %w", err)
 	}
-	return cv, res.Crisp, flc2.Output().Terms[res.BestTerm].Name, nil
+	return cv, score, flc2.Output().Terms[best].Name, nil
 }
 
 // surfacePair compiles the FLC1/FLC2 surfaces for a controller whose config

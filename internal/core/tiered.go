@@ -280,17 +280,13 @@ type Tiered struct {
 // integration density, matching controllers built from DefaultConfig /
 // DefaultPConfig.
 func NewTiered(cells int, cfg TierConfig) (*Tiered, error) {
-	flc1, err := NewFLC1()
+	flc1, flc2, err := flcPair(fuzzy.DefaultSamples, nil)
 	if err != nil {
-		return nil, fmt.Errorf("core: building FLC1: %w", err)
-	}
-	flc2, err := NewFLC2()
-	if err != nil {
-		return nil, fmt.Errorf("core: building FLC2: %w", err)
+		return nil, err
 	}
 	return newTieredCompile(cells, cfg, func(resolution int) (*fuzzy.Surface, *fuzzy.Surface, error) {
 		if resolution == 0 {
-			return nil, nil, nil // exact tier: controllers fall back to their own engines
+			return nil, nil, nil // exact tier: controllers fall back to the shared engines
 		}
 		return surfacePair(flc1, flc2, resolution, fuzzy.DefaultSamples, nil)
 	})

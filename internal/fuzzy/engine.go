@@ -27,6 +27,14 @@ const (
 	minSamples = 16
 )
 
+const (
+	// maxStackGrades and maxStackTerms bound the input term grades and the
+	// output term strengths one inference keeps on the stack; engines with
+	// wider variables (none in this repository) spill to the heap.
+	maxStackGrades = 64
+	maxStackTerms  = 32
+)
+
 // Engine is an immutable Mamdani fuzzy-inference engine: fuzzifier,
 // rule-base inference (AND across antecedents, max aggregation across
 // rules), and defuzzifier, as in Fig. 2 of the paper.
@@ -41,14 +49,30 @@ type Engine struct {
 	defuzz  Defuzzifier
 	samples int
 
+	// The rule base flattened for allocation-free inference: nGrades is the
+	// total term count across the inputs, and ante[ri*len(inputs)+vi] is the
+	// index of rule ri's antecedent grade for input vi in the concatenation
+	// of every input's term grades.
+	nGrades int
+	ante    []int
+
 	// Centroid fast path: output-term membership grades pre-evaluated on the
 	// integration grid, so defuzzification is table lookups instead of
 	// interface-dispatched Grade calls. sampleX[i] is the i-th midpoint
-	// sample over the output universe; gradeTab[i*len(output.Terms)+t] is
-	// term t's grade there. Populated only for the Centroid defuzzifier;
-	// the numbers it produces are bit-identical to Centroid.Defuzz.
-	sampleX  []float64
-	gradeTab []float64
+	// sample over the output universe; support[t] holds term t's grades
+	// over the samples where they are non-zero. Populated only for the
+	// Centroid defuzzifier; the numbers it produces are bit-identical to
+	// Centroid.Defuzz.
+	sampleX []float64
+	support []termSupport
+}
+
+// termSupport is one output term's slice of the centroid grade table:
+// grade[i-lo] is the term's grade at sample i for lo <= i < hi, and the
+// grade is zero at every sample outside [lo, hi).
+type termSupport struct {
+	lo, hi int
+	grade  []float64
 }
 
 // Option configures an Engine at construction time.
@@ -108,24 +132,51 @@ func NewEngine(name string, inputs []Variable, output Variable, rules []Rule, op
 	if e.defuzz == nil {
 		return nil, fmt.Errorf("fuzzy: engine %q: nil defuzzifier", name)
 	}
+	e.flattenRules()
 	if _, centroid := e.defuzz.(Centroid); centroid {
 		e.buildGradeTable()
 	}
 	return e, nil
 }
 
+// flattenRules builds the flat antecedent index table used by aggregate.
+func (e *Engine) flattenRules() {
+	off := make([]int, len(e.inputs))
+	for i, v := range e.inputs {
+		off[i] = e.nGrades
+		e.nGrades += len(v.Terms)
+	}
+	e.ante = make([]int, 0, len(e.rules)*len(e.inputs))
+	for _, r := range e.rules {
+		for vi, w := range r.When {
+			e.ante = append(e.ante, off[vi]+w)
+		}
+	}
+}
+
 // buildGradeTable precomputes the output-term grades on the integration
-// grid used by the centroid fast path.
+// grid used by the centroid fast path, term-major, keeping only each
+// term's non-zero range.
 func (e *Engine) buildGradeTable() {
-	nt := len(e.output.Terms)
 	dx := (e.output.Max - e.output.Min) / float64(e.samples)
 	e.sampleX = make([]float64, e.samples)
-	e.gradeTab = make([]float64, e.samples*nt)
-	for i := 0; i < e.samples; i++ {
-		x := e.output.Min + (float64(i)+0.5)*dx
-		e.sampleX[i] = x
-		for t, term := range e.output.Terms {
-			e.gradeTab[i*nt+t] = term.MF.Grade(x)
+	for i := range e.sampleX {
+		e.sampleX[i] = e.output.Min + (float64(i)+0.5)*dx
+	}
+	row := make([]float64, e.samples)
+	e.support = make([]termSupport, len(e.output.Terms))
+	for t, term := range e.output.Terms {
+		lo, hi := len(row), 0
+		for i, x := range e.sampleX {
+			// A grade that is not positive (or NaN, from a custom MF) never
+			// raises Centroid.Defuzz's running max, so it is stored as 0.
+			row[i] = 0
+			if g := term.MF.Grade(x); g > 0 {
+				row[i], lo, hi = g, min(lo, i), i+1
+			}
+		}
+		if lo < hi {
+			e.support[t] = termSupport{lo: lo, hi: hi, grade: append([]float64(nil), row[lo:hi]...)}
 		}
 	}
 }
@@ -133,52 +184,100 @@ func (e *Engine) buildGradeTable() {
 // defuzzify dispatches to the centroid fast path when available, otherwise
 // to the configured Defuzzifier.
 func (e *Engine) defuzzify(strength []float64) (float64, error) {
-	if e.gradeTab == nil {
-		return e.defuzz.Defuzz(e.output, strength, e.samples)
+	if e.support == nil {
+		return e.defuzzGeneral(strength)
 	}
 	// Only activated output terms can contribute to the max; with the
-	// paper's rule bases that is typically 2-5 of 9 terms.
-	var activeT [32]int
-	var activeS [32]float64
-	na := 0
+	// paper's rule bases that is typically 2-5 of 9 terms. Cut the grid at
+	// both ends of each one's support, in sample order: between two
+	// neighbouring cuts the set of terms covering a sample is fixed.
+	var active [maxStackTerms]int
+	var cuts [2 * maxStackTerms]int
+	na, nc := 0, 0
 	for t, s := range strength {
-		if s > 0 {
-			if na == len(activeT) {
-				// Implausibly wide activation; take the general path.
-				return e.defuzz.Defuzz(e.output, strength, e.samples)
-			}
-			activeT[na], activeS[na] = t, s
-			na++
+		if !(s > 0) || e.support[t].lo == e.support[t].hi {
+			continue // inactive, or zero at every sample
 		}
-	}
-	if na == 0 {
-		return 0, ErrNoRuleFired
+		if na == len(active) {
+			// Implausibly wide activation; take the general path.
+			return e.defuzzGeneral(strength)
+		}
+		active[na] = t
+		na++
+		for _, c := range [2]int{e.support[t].lo, e.support[t].hi} {
+			j := nc
+			for ; j > 0 && cuts[j-1] > c; j-- {
+				cuts[j] = cuts[j-1]
+			}
+			cuts[j] = c
+			nc++
+		}
 	}
 
-	nt := len(e.output.Terms)
+	// Sweep the segments in sample order, forming moment and area as
+	// Centroid.Defuzz does from mu = max_k min(s_k, g_k(x)) over the
+	// covering terms; max and min are exact in any order. A sample no
+	// active term covers has mu = 0, and skipping it only skips adding +0
+	// to the sums. One and two covering terms, the only cases the paper's
+	// controllers produce, get dedicated loops.
 	var moment, area float64
-	for i, x := range e.sampleX {
-		base := i * nt
-		mu := 0.0
-		for k := 0; k < na; k++ {
-			s := activeS[k]
-			if s <= mu { // this term cannot raise the running max
-				continue
-			}
-			if g := e.gradeTab[base+activeT[k]]; g < s {
-				s = g
-			}
-			if s > mu {
-				mu = s
+	var cover [maxStackTerms]int
+	for ci := 1; ci < nc; ci++ {
+		a, b := cuts[ci-1], cuts[ci]
+		if a == b {
+			continue
+		}
+		nv := 0
+		for _, t := range active[:na] {
+			if e.support[t].lo <= a && b <= e.support[t].hi {
+				cover[nv] = t
+				nv++
 			}
 		}
-		moment += x * mu
-		area += mu
+		xs := e.sampleX[a:b]
+		switch nv {
+		case 0:
+		case 1:
+			g, s := e.support[cover[0]].over(a, b), strength[cover[0]]
+			for i, x := range xs {
+				mu := min(g[i], s)
+				moment += x * mu
+				area += mu
+			}
+		case 2:
+			g, s := e.support[cover[0]].over(a, b), strength[cover[0]]
+			h, r := e.support[cover[1]].over(a, b), strength[cover[1]]
+			for i, x := range xs {
+				mu := max(min(g[i], s), min(h[i], r))
+				moment += x * mu
+				area += mu
+			}
+		default:
+			for i, x := range xs {
+				mu := 0.0
+				for _, t := range cover[:nv] {
+					mu = max(mu, min(e.support[t].grade[a+i-e.support[t].lo], strength[t]))
+				}
+				moment += x * mu
+				area += mu
+			}
+		}
 	}
 	if area == 0 {
 		return 0, ErrNoRuleFired
 	}
 	return moment / area, nil
+}
+
+// over returns the term's grades at samples a through b-1, which must lie
+// inside [lo, hi).
+func (s *termSupport) over(a, b int) []float64 { return s.grade[a-s.lo : b-s.lo] }
+
+// defuzzGeneral runs the configured Defuzzifier on a heap copy of the
+// strengths: the interface call would otherwise make every caller's
+// strength buffer escape, including the stack buffers of the fast path.
+func (e *Engine) defuzzGeneral(strength []float64) (float64, error) {
+	return e.defuzz.Defuzz(e.output, append([]float64(nil), strength...), e.samples)
 }
 
 // MustEngine is NewEngine that panics on error, for statically authored
@@ -219,13 +318,31 @@ type Result struct {
 
 // Infer runs fuzzification, rule evaluation, aggregation and
 // defuzzification for the given crisp inputs (one per input variable, in
-// order; values are clamped to each variable's universe).
+// order; values are clamped to each variable's universe). With the
+// default Centroid defuzzifier it does not allocate.
 func (e *Engine) Infer(inputs ...float64) (float64, error) {
-	res, err := e.InferDetail(inputs...)
-	if err != nil {
-		return 0, err
+	crisp, _, err := e.InferBest(inputs...)
+	return crisp, err
+}
+
+// InferBest is Infer that also returns the index of the most activated
+// output term (Result.BestTerm) without building the rest of the trace.
+func (e *Engine) InferBest(inputs ...float64) (crisp float64, best int, err error) {
+	var buf [maxStackTerms]float64
+	var termStrength []float64
+	if n := len(e.output.Terms); n <= len(buf) {
+		termStrength = buf[:n]
+	} else {
+		termStrength = make([]float64, n)
 	}
-	return res.Crisp, nil
+	if err := e.aggregate(inputs, nil, termStrength); err != nil {
+		return 0, -1, err
+	}
+	crisp, err = e.defuzzify(termStrength)
+	if err != nil {
+		return 0, -1, fmt.Errorf("fuzzy: engine %q: %w", e.name, err)
+	}
+	return crisp, bestTerm(termStrength), nil
 }
 
 // InferDetail is Infer returning the full inference trace. Inputs are
@@ -233,46 +350,11 @@ func (e *Engine) Infer(inputs ...float64) (float64, error) {
 // nearest edge, as the paper treats out-of-range measurements); NaN carries
 // no such nearest value and is rejected.
 func (e *Engine) InferDetail(inputs ...float64) (Result, error) {
-	if len(inputs) != len(e.inputs) {
-		return Result{}, fmt.Errorf("fuzzy: engine %q: got %d inputs, want %d", e.name, len(inputs), len(e.inputs))
-	}
-	for i, x := range inputs {
-		if math.IsNaN(x) {
-			return Result{}, fmt.Errorf("fuzzy: engine %q: input %d (%s) is NaN", e.name, i, e.inputs[i].Name)
-		}
-	}
-
-	// Fuzzify every input once; rules then index into the grade tables.
-	grades := make([][]float64, len(e.inputs))
-	for i, v := range e.inputs {
-		grades[i] = v.Fuzzify(inputs[i])
-	}
-
 	ruleStrength := make([]float64, len(e.rules))
 	termStrength := make([]float64, len(e.output.Terms))
-	for ri, r := range e.rules {
-		s := grades[0][r.When[0]]
-		for vi := 1; vi < len(r.When); vi++ {
-			if s == 0 {
-				break // conjunction cannot recover once any AND operand is 0
-			}
-			s = e.and(s, grades[vi][r.When[vi]])
-		}
-		ruleStrength[ri] = s
-		if s > termStrength[r.Then] {
-			termStrength[r.Then] = s
-		}
+	if err := e.aggregate(inputs, ruleStrength, termStrength); err != nil {
+		return Result{}, err
 	}
-
-	best := -1
-	bestS := 0.0
-	for ti, s := range termStrength {
-		if s > bestS {
-			bestS = s
-			best = ti
-		}
-	}
-
 	crisp, err := e.defuzzify(termStrength)
 	if err != nil {
 		return Result{}, fmt.Errorf("fuzzy: engine %q: %w", e.name, err)
@@ -281,8 +363,71 @@ func (e *Engine) InferDetail(inputs ...float64) (Result, error) {
 		Crisp:        crisp,
 		RuleStrength: ruleStrength,
 		TermStrength: termStrength,
-		BestTerm:     best,
+		BestTerm:     bestTerm(termStrength),
 	}, nil
+}
+
+// aggregate fuzzifies the inputs and evaluates the rule base, writing the
+// max-aggregated activation of each output term into termStrength (which
+// must be zeroed) and, when ruleStrength is non-nil, each rule's
+// activation.
+func (e *Engine) aggregate(inputs, ruleStrength, termStrength []float64) error {
+	if len(inputs) != len(e.inputs) {
+		return fmt.Errorf("fuzzy: engine %q: got %d inputs, want %d", e.name, len(inputs), len(e.inputs))
+	}
+	for i, x := range inputs {
+		if math.IsNaN(x) {
+			return fmt.Errorf("fuzzy: engine %q: input %d (%s) is NaN", e.name, i, e.inputs[i].Name)
+		}
+	}
+
+	// Fuzzify every input once; rules then index into the grade table.
+	var buf [maxStackGrades]float64
+	var grades []float64
+	if e.nGrades <= len(buf) {
+		grades = buf[:e.nGrades]
+	} else {
+		grades = make([]float64, e.nGrades)
+	}
+	g := grades
+	for i, v := range e.inputs {
+		x := v.Clamp(inputs[i])
+		for t, term := range v.Terms {
+			g[t] = term.MF.Grade(x)
+		}
+		g = g[len(v.Terms):]
+	}
+
+	nin := len(e.inputs)
+	for ri, r := range e.rules {
+		ante := e.ante[ri*nin : (ri+1)*nin]
+		s := grades[ante[0]]
+		for _, gi := range ante[1:] {
+			if s == 0 {
+				break // conjunction cannot recover once any AND operand is 0
+			}
+			s = e.and(s, grades[gi])
+		}
+		if ruleStrength != nil {
+			ruleStrength[ri] = s
+		}
+		if s > termStrength[r.Then] {
+			termStrength[r.Then] = s
+		}
+	}
+	return nil
+}
+
+// bestTerm returns the index of the most activated output term (ties go to
+// the earliest), or -1 when no term is active.
+func bestTerm(termStrength []float64) int {
+	best, bestS := -1, 0.0
+	for ti, s := range termStrength {
+		if s > bestS {
+			best, bestS = ti, s
+		}
+	}
+	return best
 }
 
 // DescribeRule renders rule ri with variable and term names, e.g.

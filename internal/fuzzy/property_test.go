@@ -183,7 +183,7 @@ func TestPropertyTierResolutionLadder(t *testing.T) {
 func TestCentroidFastPathMatchesGeneralPath(t *testing.T) {
 	// The table-backed centroid must be bit-identical to Centroid.Defuzz.
 	e := tipperEngine(t)
-	if e.gradeTab == nil {
+	if e.support == nil {
 		t.Fatal("default engine did not build the centroid grade table")
 	}
 	prop := func(service, food float64) bool {
@@ -199,5 +199,65 @@ func TestCentroidFastPathMatchesGeneralPath(t *testing.T) {
 	}
 	if err := quick.Check(prop, quickCfg()); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestCentroidFastPathUnorderedSupports(t *testing.T) {
+	// Output terms listed out of position order, with a gap between some
+	// supports, up to three supports overlapping, and one term so narrow
+	// that it falls between integration samples: the fast path must still
+	// sum in sample order and match Centroid.Defuzz bitwise.
+	service := MustVariable("service", 0, 10,
+		Term{Name: "poor", MF: Tri(0, 0, 5)},
+		Term{Name: "good", MF: Tri(5, 5, 5)},
+		Term{Name: "great", MF: Tri(10, 5, 0)},
+	)
+	food := MustVariable("food", 0, 10,
+		Term{Name: "bad", MF: Tri(0, 0, 10)},
+		Term{Name: "tasty", MF: Tri(10, 10, 0)},
+	)
+	tip := MustVariable("tip", 0, 30,
+		Term{Name: "high", MF: Tri(26, 3, 3)},
+		Term{Name: "low", MF: Tri(4, 3, 3)},
+		Term{Name: "wide", MF: Trap(12, 18, 8, 8)},
+		Term{Name: "sliver", MF: Tri(15.0001, 1e-6, 1e-6)},
+		Term{Name: "mid", MF: Tri(6, 4, 4)},
+	)
+	// The sliver fires only alongside other rules: a clamped corner input
+	// that activates it alone would leave no area on either path.
+	rules, err := RuleTable([]Variable{service, food}, tip, []string{
+		"low", "wide",
+		"sliver", "mid",
+		"high", "high",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, samples := range []int{16, 101, 2500} {
+		e, err := NewEngine("unordered", []Variable{service, food}, tip, rules, WithSamples(samples))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dense grid rather than testing/quick: quick's float64s are
+		// mostly far outside the universe and clamp to single-rule corners.
+		mismatches := 0
+		for i := 0; i <= 120; i++ {
+			for j := 0; j <= 24; j++ {
+				x, y := -0.987+float64(i)*0.1, -1+float64(j)*0.5 // x never lands on the sliver-only point service=5
+				res, err := e.InferDetail(x, y)
+				if err != nil {
+					t.Fatalf("samples %d at (%v, %v): %v", samples, x, y, err)
+				}
+				want, err := Centroid{}.Defuzz(e.output, res.TermStrength, e.samples)
+				crisp, best, err2 := e.InferBest(x, y)
+				if err != nil || err2 != nil || math.Float64bits(res.Crisp) != math.Float64bits(want) ||
+					math.Float64bits(crisp) != math.Float64bits(want) || best != res.BestTerm {
+					mismatches++
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Errorf("samples %d: %d grid points differ from Centroid.Defuzz", samples, mismatches)
+		}
 	}
 }

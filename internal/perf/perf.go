@@ -284,7 +284,9 @@ func cityEvalSpec(name string, workers int, opts experiment.Options) Spec {
 }
 
 // citySmokeSpec is the reduced CI variant: the embedded metro-city
-// scenario (about 200 cells) on the default worker split.
+// scenario (about 200 cells) on one worker. The worker count is pinned
+// because the sharded engine's allocations scale with it, so leaving it to
+// GOMAXPROCS would make allocs/op depend on the host.
 func citySmokeSpec(name string, smoke bool, opts experiment.Options) Spec {
 	return Spec{Name: name, Smoke: smoke, New: func() (Body, error) {
 		s, err := scenario.Load("metro-city")
@@ -294,7 +296,7 @@ func citySmokeSpec(name string, smoke bool, opts experiment.Options) Spec {
 		run := experiment.CityRun{
 			Scheme: "guard",
 			Load:   cityLoad,
-			Shard:  cellsim.ShardOptions{Groups: cityGroups},
+			Shard:  cellsim.ShardOptions{Groups: cityGroups, Workers: 1},
 		}
 		return cityBody(s, run, opts), nil
 	}}

@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,35 @@ func TestMeasureSweepSpecCountsCalls(t *testing.T) {
 	perOp := r.SimCallsPerSec * r.NsPerOp / 1e9
 	if perOp < 699 || perOp > 701 {
 		t.Errorf("calls per op = %.1f, want 700", perOp)
+	}
+}
+
+// TestCitySmokeAllocsIndependentOfGOMAXPROCS pins the gate's
+// host-independence for the sharded city smoke spec: its allocs/op must
+// not scale with the core count of the runner, or a baseline recorded on
+// one machine fails the allocs/op gate on another.
+func TestCitySmokeAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("city simulation")
+	}
+	specs, err := Filter(Specs(), "^city/metro/guard$")
+	if err != nil || len(specs) != 1 {
+		t.Fatalf("Filter = %v specs, err %v", len(specs), err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	allocs := make(map[int]float64)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		r, err := specs[0].Measure(100 * time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[procs] = r.AllocsPerOp
+	}
+	t.Logf("allocs/op: %.1f at GOMAXPROCS=1, %.1f at GOMAXPROCS=4", allocs[1], allocs[4])
+	if d := allocs[4] - allocs[1]; d > allocSlack || d < -allocSlack {
+		t.Errorf("allocs/op %.1f at GOMAXPROCS=1 vs %.1f at GOMAXPROCS=4: differ by more than %d",
+			allocs[1], allocs[4], allocSlack)
 	}
 }
 
