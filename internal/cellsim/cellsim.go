@@ -312,7 +312,13 @@ type Config struct {
 	// Mobility moves admitted users; nil defaults to the paper-aligned
 	// SmoothTurn model.
 	Mobility mobility.Model
-	// CheckInterval is the handoff-detection granularity in seconds.
+	// CheckInterval is the handoff-detection granularity in seconds: a
+	// mobile's position is integrated and checked for a cell crossing
+	// every CheckInterval. Both engines skip the checks that provably
+	// cannot find one: when the mover is mobility.Bounded, one event
+	// covers the longest stretch over which the mobile stays inside its
+	// cell's inscribed circle, advancing the mover once per interval when
+	// it fires. Results are bit-identical to checking every interval.
 	CheckInterval float64
 	// Static disables spatial motion: admitted calls hold their bandwidth
 	// at the admission cell for their whole holding time and never hand
@@ -327,12 +333,13 @@ type Config struct {
 	// scraped like a live cell bank. The registry must cover at least as
 	// many cells as the topology has slots; bumps are single atomic adds,
 	// so the event loop stays allocation-free. Only the single-heap Run
-	// engine exports; RunSharded ignores the sinks.
+	// engine exports; RunSharded rejects a config that sets it.
 	Metrics *metrics.Registry
 	// Hotness, when non-nil, records every admission attempt (new call or
 	// handoff) at its cell slot on the simulation-time axis, feeding the
 	// same exponential-decay demand signal the daemon tracks. Must cover
-	// at least the topology's slots.
+	// at least the topology's slots. Like Metrics, only Run exports it;
+	// RunSharded rejects a config that sets it.
 	Hotness *hotness.Tracker
 	// Seed drives all randomness of the run.
 	Seed uint64
@@ -510,6 +517,9 @@ type call struct {
 	endAt   float64
 	ended   bool
 	endEvt  des.Handle
+	// steps is how many CheckInterval advances the pending position check
+	// performs (nextCheck).
+	steps int
 	// alloc is the bandwidth currently granted, which adaptive schemes may
 	// move below req.Bandwidth mid-call; lastT is the simulation time the
 	// bandwidth integrals were last accrued to.
@@ -961,7 +971,7 @@ func (rs *runState) arrive(a *arrival, now float64) {
 	}
 	c.endEvt = endEvt
 	if !s.cfg.Static {
-		rs.scheduleCheck(c)
+		rs.scheduleCheck(c, now)
 	}
 }
 
@@ -994,9 +1004,12 @@ func (rs *runState) exportDecision(at hexgrid.Coord, class traffic.Class, accept
 	}
 }
 
-// scheduleCheck arms the next handoff-detection tick for an active call.
-func (rs *runState) scheduleCheck(c *call) {
-	if _, err := rs.sim.AfterOp(rs.s.cfg.CheckInterval, des.Op{Code: opCheck, Arg: c}); err != nil {
+// scheduleCheck arms the next handoff-detection check for an active call,
+// at the end of its safe horizon (nextCheck).
+func (rs *runState) scheduleCheck(c *call, now float64) {
+	at, steps := nextCheck(rs.s.layout, c, rs.s.cfg.CheckInterval, now)
+	c.steps = steps
+	if _, err := rs.sim.AtOp(at, des.Op{Code: opCheck, Arg: c}); err != nil {
 		rs.fail(err)
 	}
 }
@@ -1008,17 +1021,17 @@ func (rs *runState) checkPosition(c *call, now float64) {
 		return
 	}
 	s := rs.s
-	c.mover.Advance(s.cfg.CheckInterval)
+	c.advance(s.cfg.CheckInterval)
 	st := c.mover.State()
 	// Fast path: still inside the serving cell's inscribed circle — no
 	// boundary crossing possible, so skip the full cube-rounding lookup.
 	if s.layout.InCell(c.cell, st.X, st.Y) {
-		rs.scheduleCheck(c)
+		rs.scheduleCheck(c, now)
 		return
 	}
 	newCell := s.layout.CellAt(st.X, st.Y)
 	if newCell == c.cell {
-		rs.scheduleCheck(c)
+		rs.scheduleCheck(c, now)
 		return
 	}
 
@@ -1066,7 +1079,7 @@ func (rs *runState) checkPosition(c *call, now float64) {
 		rs.centreBU += c.alloc
 		rs.observe(now)
 	}
-	rs.scheduleCheck(c)
+	rs.scheduleCheck(c, now)
 }
 
 // reallocates reports whether the admitter's controllers can change

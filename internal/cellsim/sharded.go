@@ -158,10 +158,19 @@ func (r *shardRun) group(cell hexgrid.Coord) *groupState {
 //
 // The admitter must implement TopologyCompiler so that all per-cell state
 // exists before the parallel phase; network-level admitters with shared
-// mutable state (such as scc.Controller) are rejected.
+// mutable state (such as scc.Controller) are rejected. So is a config
+// that sets Metrics or Hotness, which only Run exports.
 func RunSharded(cfg Config, adm Admitter, opts ShardOptions) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	// The sharded engine exports no per-cell series; a sink it would
+	// silently leave empty is a configuration error.
+	if cfg.Metrics != nil {
+		return Result{}, fmt.Errorf("cellsim: RunSharded does not export Config.Metrics; use Run or leave it nil")
+	}
+	if cfg.Hotness != nil {
+		return Result{}, fmt.Errorf("cellsim: RunSharded does not export Config.Hotness; use Run or leave it nil")
 	}
 	if adm == nil {
 		return Result{}, fmt.Errorf("cellsim: nil admitter")
@@ -401,7 +410,7 @@ func (r *shardRun) armObserver() {
 // with no events are skipped deterministically by jumping the deadline to
 // the grid point covering the earliest pending event.
 func (r *shardRun) loop(workers int) error {
-	deadline := 0.0
+	k := 0.0 // the current epoch's index; its barrier is at k*epoch
 	for {
 		next := math.Inf(1)
 		for _, g := range r.groups {
@@ -413,12 +422,14 @@ func (r *shardRun) loop(workers int) error {
 			return r.err()
 		}
 		// The epoch grid is absolute (multiples of CheckInterval from 0),
-		// so the barrier times do not depend on the grouping.
-		deadline = math.Max(deadline+r.epoch, r.epoch*math.Ceil(next/r.epoch))
-		if deadline < next {
-			// next sits exactly on a grid point already passed over.
-			deadline += r.epoch
+		// so the barrier times depend neither on the grouping nor on
+		// which epochs were skipped for lack of events.
+		k = math.Max(k+1, math.Ceil(next/r.epoch))
+		if k*r.epoch < next {
+			// Rounding put next just past the grid point.
+			k++
 		}
+		deadline := k * r.epoch
 
 		if workers <= 1 || len(r.groups) == 1 {
 			for _, g := range r.groups {
@@ -523,7 +534,9 @@ func (r *shardRun) exchange(now float64) {
 		c.endEvt = endEvt
 		c.grp = dst.id
 		// Resume position checks on the destination heap, keeping the
-		// call's original check cadence where possible.
+		// call's original check cadence where possible. This first check
+		// covers one interval.
+		c.steps = 1
 		checkAt := math.Max(m.at+r.cfg.CheckInterval, now)
 		if _, err := dst.sim.AtOp(checkAt, des.Op{Code: opCheck, Arg: c}); err != nil {
 			dst.fail(err)
@@ -648,9 +661,7 @@ func (g *groupState) arrive(a *arrival, now float64) {
 	}
 	c.endEvt = endEvt
 	if !r.cfg.Static {
-		if _, err := g.sim.AfterOp(r.cfg.CheckInterval, des.Op{Code: opCheck, Arg: c}); err != nil {
-			g.fail(err)
-		}
+		g.scheduleCheck(c, now)
 	}
 }
 
@@ -663,15 +674,15 @@ func (g *groupState) checkPosition(c *call, now float64) {
 		return
 	}
 	r := g.run
-	c.mover.Advance(r.cfg.CheckInterval)
+	c.advance(r.cfg.CheckInterval)
 	st := c.mover.State()
 	if r.layout.InCell(c.cell, st.X, st.Y) {
-		g.scheduleCheck(c)
+		g.scheduleCheck(c, now)
 		return
 	}
 	newCell := r.layout.CellAt(st.X, st.Y)
 	if newCell == c.cell {
-		g.scheduleCheck(c)
+		g.scheduleCheck(c, now)
 		return
 	}
 
@@ -694,8 +705,12 @@ func (g *groupState) checkPosition(c *call, now float64) {
 	// No next check: the call is in transit until the barrier re-homes it.
 }
 
-func (g *groupState) scheduleCheck(c *call) {
-	if _, err := g.sim.AfterOp(g.run.cfg.CheckInterval, des.Op{Code: opCheck, Arg: c}); err != nil {
+// scheduleCheck arms the next position check for a call this group owns,
+// at the end of its safe horizon (nextCheck).
+func (g *groupState) scheduleCheck(c *call, now float64) {
+	at, steps := nextCheck(g.run.layout, c, g.run.cfg.CheckInterval, now)
+	c.steps = steps
+	if _, err := g.sim.AtOp(at, des.Op{Code: opCheck, Arg: c}); err != nil {
 		g.fail(err)
 	}
 }

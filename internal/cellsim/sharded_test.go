@@ -2,11 +2,13 @@ package cellsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"facsp/internal/baseline"
 	"facsp/internal/cac"
 	"facsp/internal/hexgrid"
+	"facsp/internal/hotness"
 )
 
 // cityConfig is a ~1000-cell homogeneous set-up sized so that the
@@ -158,6 +160,35 @@ func TestRunShardedRejectsNetworkLevelAdmitter(t *testing.T) {
 	cfg := DefaultConfig(5, 1)
 	if _, err := RunSharded(cfg, newOpenAdmitter(), ShardOptions{}); err == nil {
 		t.Error("admitter without TopologyCompiler accepted")
+	}
+}
+
+// TestRunShardedRejectsSinks pins strict configuration: the sharded
+// engine exports neither per-cell metrics nor hotness, so a config asking
+// for them is an error naming the field instead of a silently empty sink.
+func TestRunShardedRejectsSinks(t *testing.T) {
+	base := DefaultConfig(5, 1)
+	reg := sinkRegistry(t, base)
+	hot, err := hotness.New(reg.Cells(), 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Config.Metrics", func(c *Config) { c.Metrics = reg }},
+		{"Config.Hotness", func(c *Config) { c.Hotness = hot }},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		_, err := RunSharded(cfg, tightGuardAdmitter(t), ShardOptions{Groups: 2, Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("RunSharded with %s set: err = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	if _, err := RunSharded(base, tightGuardAdmitter(t), ShardOptions{Groups: 2, Workers: 1}); err != nil {
+		t.Errorf("RunSharded without sinks: %v", err)
 	}
 }
 

@@ -172,7 +172,11 @@ func roundAxial(qf, rf float64) Coord {
 
 // NormalizeAngle maps an angle in degrees into (-180, 180].
 func NormalizeAngle(deg float64) float64 {
-	deg = math.Mod(deg, 360)
+	// math.Mod returns deg itself for |deg| < 360, so the common case (a
+	// heading nudged by a small increment) skips the call.
+	if !(deg > -360 && deg < 360) {
+		deg = math.Mod(deg, 360)
+	}
 	switch {
 	case deg > 180:
 		return deg - 360

@@ -215,6 +215,39 @@ func TestAngleOff(t *testing.T) {
 
 // Property: NormalizeAngle output is always in (-180, 180] and congruent
 // to the input mod 360.
+// TestNormalizeAngleMatchesModForm pins the |deg| < 360 fast path to the
+// plain math.Mod form bit for bit, signed zeros and non-finite inputs
+// included.
+func TestNormalizeAngleMatchesModForm(t *testing.T) {
+	modForm := func(deg float64) float64 {
+		deg = math.Mod(deg, 360)
+		switch {
+		case deg > 180:
+			return deg - 360
+		case deg <= -180:
+			return deg + 360
+		default:
+			return deg
+		}
+	}
+	below360 := math.Nextafter(360, 0)
+	inputs := []float64{
+		0, math.Copysign(0, -1), 180, -180, below360, -below360, 360, -360,
+		540, -540, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	src := rng.New(7)
+	for i := 0; i < 100000; i++ {
+		inputs = append(inputs, src.Uniform(-1000, 1000))
+	}
+	for _, in := range inputs {
+		got, want := NormalizeAngle(in), modForm(in)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NormalizeAngle(%v) = %v (bits %#x), math.Mod form gives %v (bits %#x)",
+				in, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestQuickNormalizeAngle(t *testing.T) {
 	f := func(deg float64) bool {
 		if math.IsNaN(deg) || math.IsInf(deg, 0) {

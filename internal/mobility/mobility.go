@@ -9,6 +9,13 @@
 // be changed easily, this results in a better prediction of the user
 // direction"). ConstantVelocity, GaussMarkov and RandomWaypoint are
 // provided for ablations.
+//
+// A Mover may also implement Bounded, promising a maximum speed. The
+// simulator uses that bound to skip position checks it can prove would
+// find the mobile still deep inside its cell: ConstantVelocity, SmoothTurn
+// and RandomWaypoint keep a constant speed and implement it; GaussMarkov
+// redraws its speed every step, has no bound and is checked every
+// interval.
 package mobility
 
 import (
@@ -48,6 +55,14 @@ type Mover interface {
 	Advance(dt float64)
 }
 
+// Bounded is implemented by Movers whose speed is capped: from the current
+// state on, no sequence of Advance calls totalling dt seconds moves the
+// mobile more than MaxSpeedMS()*dt metres (straight-line displacement).
+// The bound must hold for every future Advance, not just the next one.
+type Bounded interface {
+	MaxSpeedMS() float64
+}
+
 // Model creates Movers. Each mobile gets its own Mover with its own random
 // stream, so inserting a user never perturbs another user's trajectory.
 type Model interface {
@@ -65,6 +80,9 @@ func (ConstantVelocity) NewMover(init State, _ *rng.Source) Mover {
 }
 
 func (m *constantMover) State() State { return m.s }
+
+// MaxSpeedMS implements Bounded: the speed never changes.
+func (m *constantMover) MaxSpeedMS() float64 { return math.Abs(m.s.SpeedMS()) }
 
 func (m *constantMover) Advance(dt float64) {
 	if dt < 0 {
@@ -114,6 +132,10 @@ func (m SmoothTurn) NewMover(init State, src *rng.Source) Mover {
 
 func (m *smoothMover) State() State { return m.s }
 
+// MaxSpeedMS implements Bounded: only the heading diffuses, the speed is
+// constant.
+func (m *smoothMover) MaxSpeedMS() float64 { return math.Abs(m.s.SpeedMS()) }
+
 func (m *smoothMover) Advance(dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("mobility: negative dt %v", dt))
@@ -153,6 +175,8 @@ type GaussMarkov struct {
 	StepSeconds float64
 }
 
+// gaussMarkovMover does not implement Bounded: its speed is redrawn from a
+// normal every step and has no cap.
 type gaussMarkovMover struct {
 	s           State
 	model       GaussMarkov
@@ -233,6 +257,10 @@ func (w *waypointMover) pickWaypoint() {
 }
 
 func (w *waypointMover) State() State { return w.s }
+
+// MaxSpeedMS implements Bounded: legs run at the constant speed and pauses
+// only shorten the distance covered.
+func (w *waypointMover) MaxSpeedMS() float64 { return math.Abs(w.s.SpeedMS()) }
 
 func (w *waypointMover) Advance(dt float64) {
 	if dt < 0 {

@@ -277,3 +277,62 @@ func TestQuickHeadingNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBoundedContract checks the Bounded promise the simulator's
+// safe-horizon checks rely on: over 10k random Advance calls per bounded
+// model, no advance — and no run of advances — moves the mobile further
+// than MaxSpeedMS times the elapsed time. The tolerance is a relative
+// 1e-12 of the quantities involved, covering position rounding only.
+// GaussMarkov must not claim a bound.
+func TestBoundedContract(t *testing.T) {
+	models := map[string]Model{
+		"constant":        ConstantVelocity{},
+		"smooth-turn":     DefaultSmoothTurn(),
+		"random-waypoint": RandomWaypoint{FieldRadius: 3000, PauseMeanSeconds: 5},
+	}
+	const eps = 1e-12
+	within := func(dist, bound float64, s0, s1 State) bool {
+		scale := bound + math.Abs(s0.X) + math.Abs(s0.Y) + math.Abs(s1.X) + math.Abs(s1.Y)
+		return dist <= bound+eps*scale
+	}
+	for name, model := range models {
+		t.Run(name, func(t *testing.T) {
+			src := rng.New(11)
+			var m Mover
+			var b Bounded
+			var start State
+			var elapsed float64
+			for i := 0; i < 10000; i++ {
+				if i%100 == 0 {
+					start = State{
+						X: src.Uniform(-2000, 2000), Y: src.Uniform(-2000, 2000),
+						SpeedKmh: src.Uniform(0, 120), HeadingDeg: src.Uniform(-180, 180),
+					}
+					m = model.NewMover(start, src)
+					var ok bool
+					if b, ok = m.(Bounded); !ok {
+						t.Fatalf("%T does not implement Bounded", m)
+					}
+					elapsed = 0
+				}
+				dt := src.Uniform(0, 5)
+				vmax := b.MaxSpeedMS()
+				s0 := m.State()
+				m.Advance(dt)
+				s1 := m.State()
+				elapsed += dt
+				if d := math.Hypot(s1.X-s0.X, s1.Y-s0.Y); !within(d, vmax*dt, s0, s1) {
+					t.Fatalf("advance %d: moved %v m in %v s, bound %v m/s", i, d, dt, vmax)
+				}
+				if d := math.Hypot(s1.X-start.X, s1.Y-start.Y); !within(d, vmax*elapsed, start, s1) {
+					t.Fatalf("advance %d: moved %v m in %v s since creation, bound %v m/s", i, d, elapsed, vmax)
+				}
+			}
+		})
+	}
+	// GaussMarkov redraws its speed every step and makes no promise.
+	gm := GaussMarkov{Alpha: 0.85, MeanSpeedKmh: 50, SpeedSigmaKmh: 10}.NewMover(State{SpeedKmh: 50}, rng.New(1))
+	if _, ok := gm.(Bounded); ok {
+		t.Error("GaussMarkov mover implements Bounded")
+	}
+}

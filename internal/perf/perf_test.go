@@ -178,7 +178,11 @@ func TestMeasureSweepSpecCountsCalls(t *testing.T) {
 // TestCitySmokeAllocsIndependentOfGOMAXPROCS pins the gate's
 // host-independence for the sharded city smoke spec: its allocs/op must
 // not scale with the core count of the runner, or a baseline recorded on
-// one machine fails the allocs/op gate on another.
+// one machine fails the allocs/op gate on another. Both settings count
+// the same ops (seeds 1-6): op i simulates seed i, whose allocation count
+// differs from other seeds', so a time-budgeted Measure, whose op count
+// depends on the host's speed at the moment, would compare different
+// seed sets.
 func TestCitySmokeAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("city simulation")
@@ -187,15 +191,28 @@ func TestCitySmokeAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 	if err != nil || len(specs) != 1 {
 		t.Fatalf("Filter = %v specs, err %v", len(specs), err)
 	}
+	body, err := specs[0].New()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const ops = 6
 	allocs := make(map[int]float64)
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		r, err := specs[0].Measure(100 * time.Millisecond)
-		if err != nil {
+		// Warm up at this setting: the first runs after a GOMAXPROCS
+		// change also count the runtime's one-time per-P allocations.
+		if _, err := body(ops); err != nil {
 			t.Fatal(err)
 		}
-		allocs[procs] = r.AllocsPerOp
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if _, err := body(ops); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		allocs[procs] = float64(m1.Mallocs-m0.Mallocs) / ops
 	}
 	t.Logf("allocs/op: %.1f at GOMAXPROCS=1, %.1f at GOMAXPROCS=4", allocs[1], allocs[4])
 	if d := allocs[4] - allocs[1]; d > allocSlack || d < -allocSlack {
