@@ -9,7 +9,7 @@
 //	facs-server -scheme adapt            # adaptive bandwidth degradation
 //	facs-server -scheme adapt-fuzzy      # degradation gated by the fuzzy pipeline
 //	facs-server -cells 7 -queue 512      # 7-cell daemon, deeper per-cell queues
-//	facs-server -surface-tiers default   # hotness-adaptive tiered decision surfaces
+//	facs-server -surface 33              # fuzzy schemes on precomputed decision surfaces
 //
 // Schemes: facsp (FACS-P, the paper's proposal), facs (the previous fuzzy
 // system), guard (cutoff priority), sharing (complete sharing), adapt and
@@ -105,19 +105,15 @@
 // hot path as plain atomic adds, so scraping never takes a cell lock and
 // never slows admission.
 //
-// -surface-tiers enables hotness-adaptive tiered decision surfaces for
-// the fuzzy schemes (facsp, facs): cold cells share one coarse
-// process-cached surface and hot cells are promoted to finer grids (or
-// exact inference) as their hotness rate crosses the ladder's thresholds,
-// with recompilation running asynchronously so admits never block. The
-// value is "default" or an explicit ladder "res@minrate,..." such as
-// "9@0,33@0.5,65@8" (resolution 0 = exact inference on the hottest tier).
-// With tiering on, /metrics additionally serves facs_surface_tier (each
-// cell's current tier, labelled by cell), facs_surface_tier_cells (the
-// tier-occupancy histogram, labelled by tier) and the process-wide
-// facs_surface_recompiles_total, facs_surface_recompiles_stale_total,
-// facs_surface_tier_promotions_total and facs_surface_tier_demotions_total
-// counters.
+// # Decision surfaces
+//
+// -surface N runs the fuzzy schemes (facsp, facs, adapt-fuzzy) on
+// precomputed decision surfaces with N ticks per input axis, exactly as
+// facs-sim -surface N does: FLC1 and FLC2 are compiled once per process
+// and every cell answers by multilinear interpolation instead of a full
+// Mamdani pass. The default 0 keeps exact inference; 1, negative values
+// and a non-zero N with a crisp scheme are rejected before the daemon
+// listens.
 package main
 
 import (
@@ -147,74 +143,34 @@ func main() {
 	}
 }
 
+// options are the admission daemon's parameters (every flag but -metrics).
+type options struct {
+	addr, scheme    string
+	capacity, guard float64
+	cells, queue    int
+	halfLife        time.Duration
+	surface         int
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("facs-server", flag.ContinueOnError)
-	var (
-		addr     = fs.String("addr", "127.0.0.1:4077", "listen address")
-		scheme   = fs.String("scheme", "facsp", "admission scheme: facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal, learned")
-		capacity = fs.Float64("capacity", 40, "cell capacity in bandwidth units")
-		guard    = fs.Float64("guard", 8, "guard band in BU (guard scheme only)")
-		cells    = fs.Int("cells", 1, "number of independent cells the daemon serves")
-		queue    = fs.Int("queue", bsd.DefaultQueueDepth, "per-cell bounded request queue depth")
-		metrics  = fs.String("metrics", "", "HTTP observability listen address (/metrics, /hotcells); empty disables")
-		halfLife = fs.Duration("hotness-halflife", bsd.DefaultHotnessHalfLife, "half-life of the per-cell hotness demand estimate")
-		tiers    = fs.String("surface-tiers", "", `hotness-adaptive tiered decision surfaces: "default" or a ladder like "9@0,33@0.5,65@8" (fuzzy schemes only); empty disables`)
-	)
+	var o options
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:4077", "listen address")
+	fs.StringVar(&o.scheme, "scheme", "facsp", "admission scheme: facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal, learned")
+	fs.Float64Var(&o.capacity, "capacity", 40, "cell capacity in bandwidth units")
+	fs.Float64Var(&o.guard, "guard", 8, "guard band in BU (guard scheme only)")
+	fs.IntVar(&o.cells, "cells", 1, "number of independent cells the daemon serves")
+	fs.IntVar(&o.queue, "queue", bsd.DefaultQueueDepth, "per-cell bounded request queue depth")
+	metrics := fs.String("metrics", "", "HTTP observability listen address (/metrics, /hotcells); empty disables")
+	fs.DurationVar(&o.halfLife, "hotness-halflife", bsd.DefaultHotnessHalfLife, "half-life of the per-cell hotness demand estimate")
+	fs.IntVar(&o.surface, "surface", 0, "run the fuzzy schemes on precomputed decision surfaces with this per-axis resolution (0 = exact inference)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cells < 1 {
-		return fmt.Errorf("need at least one cell, got %d", *cells)
-	}
-
-	var tiered *core.Tiered
-	if *tiers != "" {
-		if *scheme != "facsp" && *scheme != "facs" {
-			return fmt.Errorf("-surface-tiers needs a fuzzy scheme (facsp or facs), got %q", *scheme)
-		}
-		tcfg, err := core.ParseTiers(*tiers)
-		if err != nil {
-			return err
-		}
-		// The ladder's rates are measured on the daemon's hotness axis.
-		hl := *halfLife
-		if hl <= 0 {
-			hl = bsd.DefaultHotnessHalfLife
-		}
-		tcfg.HalfLife = hl.Seconds()
-		if tiered, err = core.NewTiered(*cells, tcfg); err != nil {
-			return err
-		}
-		defer tiered.Close()
-	}
-
-	ctrls := make([]cac.Controller, *cells)
-	for i := range ctrls {
-		var prov core.SurfaceProvider
-		if tiered != nil {
-			prov = tiered.Cell(i)
-		}
-		ctrl, err := buildController(*scheme, *capacity, *guard, prov)
-		if err != nil {
-			return err
-		}
-		ctrls[i] = ctrl
-	}
-	cfg := bsd.Config{Cells: ctrls, QueueDepth: *queue, HotnessHalfLife: *halfLife}
-	if tiered != nil {
-		cfg.Tiers = tiered
-		cfg.TierInterval = time.Duration(tiered.Config().Interval * float64(time.Second))
-	}
-	srv, err := bsd.New(cfg)
+	srv, ln, err := listen(o)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("facs-server: %d %s cell(s) (%.0f BU each) listening on %s\n",
-		*cells, cac.Name(ctrls[0]), *capacity, ln.Addr())
 
 	var mln net.Listener
 	if *metrics != "" {
@@ -250,17 +206,54 @@ func run(args []string) error {
 	return nil
 }
 
-func buildController(scheme string, capacity, guard float64, surfaces core.SurfaceProvider) (cac.Controller, error) {
+// listen validates the daemon's parameters, builds one controller per cell
+// and opens the admission listener on addr. Nothing listens unless every
+// parameter is valid.
+func listen(o options) (*bsd.Server, net.Listener, error) {
+	if o.cells < 1 {
+		return nil, nil, fmt.Errorf("need at least one cell, got %d", o.cells)
+	}
+	if err := core.ValidateSurfaceResolution(o.surface); err != nil {
+		return nil, nil, fmt.Errorf("-surface: %w", err)
+	}
+	ctrls := make([]cac.Controller, o.cells)
+	for i := range ctrls {
+		ctrl, err := buildController(o.scheme, o.capacity, o.guard, o.surface)
+		if err != nil {
+			return nil, nil, err
+		}
+		ctrls[i] = ctrl
+	}
+	srv, err := bsd.New(bsd.Config{Cells: ctrls, QueueDepth: o.queue, HotnessHalfLife: o.halfLife})
+	if err != nil {
+		return nil, nil, err
+	}
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("facs-server: %d %s cell(s) (%.0f BU each) listening on %s\n",
+		o.cells, cac.Name(ctrls[0]), o.capacity, ln.Addr())
+	return srv, ln, nil
+}
+
+// buildController builds one cell's controller. surface is the per-axis
+// decision-surface resolution of the fuzzy schemes (0 = exact inference);
+// the crisp schemes have no fuzzy pipeline and reject a non-zero one.
+func buildController(scheme string, capacity, guard float64, surface int) (cac.Controller, error) {
+	if fuzzy := scheme == "facsp" || scheme == "facs" || scheme == "adapt-fuzzy"; surface != 0 && !fuzzy {
+		return nil, fmt.Errorf("-surface %d needs a fuzzy scheme (facsp, facs or adapt-fuzzy), got %q", surface, scheme)
+	}
 	switch scheme {
 	case "facsp":
 		cfg := core.DefaultPConfig()
 		cfg.Capacity = capacity
-		cfg.Surfaces = surfaces
+		cfg.SurfaceResolution = surface
 		return core.NewFACSP(cfg)
 	case "facs":
 		cfg := core.DefaultConfig()
 		cfg.Capacity = capacity
-		cfg.Surfaces = surfaces
+		cfg.SurfaceResolution = surface
 		return core.NewFACS(cfg)
 	case "guard":
 		return baseline.NewGuardChannel(capacity, guard)
@@ -273,7 +266,9 @@ func buildController(scheme string, capacity, guard float64, surfaces core.Surfa
 	case "adapt-fuzzy":
 		cfg := adapt.DefaultConfig()
 		cfg.Capacity = capacity
-		return adapt.NewFuzzy(cfg, core.DefaultPConfig())
+		pcfg := core.DefaultPConfig()
+		pcfg.SurfaceResolution = surface
+		return adapt.NewFuzzy(cfg, pcfg)
 	case "optimal":
 		return optimal.ForCapacity(capacity)
 	case "learned":

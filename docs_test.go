@@ -37,6 +37,39 @@ func normalize(s string) string {
 	return s
 }
 
+// section returns the markdown from the "## "+heading line up to the next
+// level-2 heading (or the end of the document), and "" when the document
+// has no such heading.
+func section(doc, heading string) string {
+	start := strings.Index(doc, "\n## "+heading)
+	if start < 0 {
+		return ""
+	}
+	sec := doc[start+1:]
+	if end := strings.Index(sec[1:], "\n## "); end >= 0 {
+		sec = sec[:end+1]
+	}
+	return sec
+}
+
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// tableKeys returns the backticked names in the first cell of every table
+// row of a markdown section — the keys a documentation table claims exist.
+func tableKeys(sec string) []string {
+	var out []string
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		cells := strings.SplitN(line[2:], " |", 2)
+		for _, m := range backticked.FindAllStringSubmatch(cells[0], -1) {
+			out = append(out, m[1])
+		}
+	}
+	return out
+}
+
 func TestDocsFigureTableMatchesRegistry(t *testing.T) {
 	experiments := readDoc(t, "EXPERIMENTS.md")
 	for _, id := range experiment.FigureIDs() {
@@ -116,17 +149,30 @@ func TestDocsSchemeTableMatchesRegistries(t *testing.T) {
 }
 
 // TestDocsPerfSuiteMatchesRegistry diffs the Performance section of
-// EXPERIMENTS.md against the live perf registry: every benchmark spec
-// must be documented, and the section must describe the artifact and the
-// gate's escape hatch.
+// EXPERIMENTS.md against the live perf registry in both directions: every
+// benchmark spec must be documented, every spec a Performance table names
+// must exist, and the section must describe the artifact and the gate's
+// escape hatch.
 func TestDocsPerfSuiteMatchesRegistry(t *testing.T) {
 	experiments := readDoc(t, "EXPERIMENTS.md")
-	if !strings.Contains(experiments, "## Performance") {
+	perfSection := section(experiments, "Performance")
+	if perfSection == "" {
 		t.Fatal("EXPERIMENTS.md has no Performance section")
 	}
+	registry := map[string]bool{}
 	for _, s := range perf.Specs() {
+		registry[s.Name] = true
 		if !strings.Contains(experiments, "`"+s.Name+"`") {
 			t.Errorf("EXPERIMENTS.md does not document perf spec `%s`", s.Name)
+		}
+	}
+	keys := tableKeys(perfSection)
+	if len(keys) == 0 {
+		t.Error("EXPERIMENTS.md Performance section has no spec table")
+	}
+	for _, name := range keys {
+		if !registry[name] {
+			t.Errorf("EXPERIMENTS.md Performance table names spec `%s`, which the perf registry does not have", name)
 		}
 	}
 	for _, token := range []string{"BENCH.json", "BENCH_baseline.json", "facs-bench", "bench-override", "BENCH_GATE"} {
@@ -175,21 +221,38 @@ func TestDocsBenchBaselineMatchesRegistry(t *testing.T) {
 }
 
 // TestDocsMetricsFamiliesDocumented diffs the observability docs against
-// the live metrics registry: every Prometheus family the process can
-// expose — per-cell series, hotness, registered scalars — must appear in
-// the EXPERIMENTS.md family table, and both doors must document the
-// endpoints and the server flag. Importing facsp (above) pulls in
-// internal/core, so the surface-cache scalar families are registered by
-// the time this runs, exactly as in a live daemon.
+// the live metrics registry in both directions: every Prometheus family
+// the process can expose — per-cell series, hotness, registered scalars —
+// must appear in the EXPERIMENTS.md family table, every family the table
+// lists must exist, and both doors must document the endpoints and the
+// server flag. Importing facsp (above) pulls in internal/core, so the
+// surface-cache scalar families are registered by the time this runs,
+// exactly as in a live daemon.
 func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 	experiments := readDoc(t, "EXPERIMENTS.md")
-	if !strings.Contains(experiments, "## Observability") {
+	obs := section(experiments, "Observability")
+	if obs == "" {
 		t.Fatal("EXPERIMENTS.md has no Observability section")
 	}
+	live := map[string]bool{}
 	for _, fam := range metrics.Families() {
-		if !strings.Contains(experiments, "`"+fam+"`") {
-			t.Errorf("EXPERIMENTS.md does not document metric family `%s`", fam)
+		live[fam] = true
+		if !strings.Contains(obs, "`"+fam+"`") {
+			t.Errorf("EXPERIMENTS.md Observability table does not document metric family `%s`", fam)
 		}
+	}
+	documented := 0
+	for _, fam := range tableKeys(obs) {
+		if !strings.HasPrefix(fam, "facs_") {
+			continue
+		}
+		documented++
+		if !live[fam] {
+			t.Errorf("EXPERIMENTS.md Observability table lists family `%s`, which metrics.Families() does not have", fam)
+		}
+	}
+	if documented == 0 {
+		t.Error("EXPERIMENTS.md Observability section has no metric family table")
 	}
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
 		content := readDoc(t, doc)

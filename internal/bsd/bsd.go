@@ -51,30 +51,6 @@ const DefaultQueueDepth = 256
 // the load within a minute.
 const DefaultHotnessHalfLife = 30 * time.Second
 
-// DefaultTierInterval is the decision-surface tier sampling period when
-// Config.TierInterval is unset: frequent enough that a flash crowd
-// promotes within a couple of seconds, and far off the per-Admit path.
-const DefaultTierInterval = time.Second
-
-// TierSampler is the hotness-adaptive tiered decision-surface selector of
-// the daemon's fuzzy controllers, satisfied by core.Tiered. The daemon
-// feeds it every cell's hotness rate at Config.TierInterval (never on the
-// admit path — each cell's controller reads its tier off its own
-// provider row) and exposes the tier of every cell plus the tier-occupancy
-// histogram on /metrics. Declared here as an interface so bsd does not
-// depend on internal/core.
-type TierSampler interface {
-	// Sample feeds one cell's current hotness rate; promotion, demotion
-	// and recompilation happen asynchronously behind it.
-	Sample(cell int, rate float64)
-	// Tier reports the cell's currently installed tier index.
-	Tier(cell int) int
-	// NumTiers reports the number of rungs in the ladder.
-	NumTiers() int
-	// NumCells reports how many cells the selector covers.
-	NumCells() int
-}
-
 // Config parameterises a daemon.
 type Config struct {
 	// Cells holds one admission controller per cell; wire requests
@@ -91,15 +67,6 @@ type Config struct {
 	// (internal/hotness): the time in which an idle cell's hotness halves.
 	// Zero or negative means DefaultHotnessHalfLife.
 	HotnessHalfLife time.Duration
-	// Tiers, when non-nil, is the tiered decision-surface selector the
-	// daemon drives off the hotness tracker: a sampler goroutine feeds it
-	// every cell's rate at TierInterval. The controllers in Cells must
-	// already hold the selector's per-cell providers (core.Tiered.Cell) —
-	// the daemon only samples and exposes, it does not rewire controllers.
-	Tiers TierSampler
-	// TierInterval is the tier sampling period. Zero or negative means
-	// DefaultTierInterval.
-	TierInterval time.Duration
 }
 
 // cell is one shard of admission state: a controller plus the lock that
@@ -137,11 +104,6 @@ type Server struct {
 	hot     *hotness.Tracker
 	start   time.Time
 
-	// tiers, when non-nil, is the tiered decision-surface selector fed by
-	// the sampler goroutine; tierQuit stops the sampler.
-	tiers    TierSampler
-	tierQuit chan struct{}
-
 	// nextID remaps client-chosen connection IDs (which are only unique
 	// within a session) to server-unique cac.Request IDs, so schemes that
 	// key state on the ID (internal/adapt) cannot suffer cross-session
@@ -153,14 +115,10 @@ type Server struct {
 	// shed counts requests dropped because their cell was at maxPending.
 	shed atomic.Uint64
 
-	sampler  sync.WaitGroup
-	stopOnce sync.Once
-
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]bool
-	serving bool
-	closed  bool
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]bool
+	closed bool
 }
 
 // New builds a daemon from a config.
@@ -203,42 +161,7 @@ func New(cfg Config) (*Server, error) {
 		reg.SetGauge(i, metrics.OccupancyBU, ctrl.Occupancy())
 		s.cells = append(s.cells, c)
 	}
-	if cfg.Tiers != nil {
-		if n := cfg.Tiers.NumCells(); n < len(cfg.Cells) {
-			return nil, fmt.Errorf("bsd: tier selector covers %d cells, daemon serves %d", n, len(cfg.Cells))
-		}
-		interval := cfg.TierInterval
-		if interval <= 0 {
-			interval = DefaultTierInterval
-		}
-		s.tiers = cfg.Tiers
-		s.tierQuit = make(chan struct{})
-		s.sampler.Add(1)
-		go s.tierSampler(interval)
-	}
 	return s, nil
-}
-
-// tierSampler is the daemon's tier-promotion clock: at every interval it
-// reads the whole hotness rate vector once and feeds it to the selector.
-// Admits never touch it — each cell's controller reads its tier off its
-// own provider row.
-func (s *Server) tierSampler(interval time.Duration) {
-	defer s.sampler.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	var buf []float64
-	for {
-		select {
-		case <-s.tierQuit:
-			return
-		case <-tick.C:
-			buf = s.hot.Rates(s.Uptime(), buf)
-			for i := range s.cells {
-				s.tiers.Sample(i, buf[i])
-			}
-		}
-	}
 }
 
 // NewServer builds a single-cell daemon around one controller.
@@ -271,7 +194,7 @@ func (s *Server) Uptime() float64 { return time.Since(s.start).Seconds() }
 // Serve accepts connections on ln until Close is called. It always
 // returns a non-nil error; after Close the error is net.ErrClosed. When
 // it returns via Close, the daemon has fully drained: every session is
-// torn down, every grant released, and the tier sampler stopped.
+// torn down and every grant released.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -279,16 +202,12 @@ func (s *Server) Serve(ln net.Listener) error {
 		return net.ErrClosed
 	}
 	s.ln = ln
-	s.serving = true
 	s.mu.Unlock()
 
+	// Wait for every session: their disconnect cleanup releases every
+	// grant before Serve returns.
 	var wg sync.WaitGroup
-	defer func() {
-		// Sessions first — their disconnect cleanup releases every
-		// grant — then the tier sampler.
-		wg.Wait()
-		s.stopSampler()
-	}()
+	defer wg.Wait()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -317,7 +236,6 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	ln := s.ln
-	serving := s.serving
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -331,21 +249,7 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	if !serving {
-		// No accept loop will run the drain; stop the sampler here.
-		s.stopSampler()
-	}
 	return err
-}
-
-// stopSampler stops the tier sampler, if any, and waits for it to exit.
-func (s *Server) stopSampler() {
-	s.stopOnce.Do(func() {
-		if s.tierQuit != nil {
-			close(s.tierQuit)
-			s.sampler.Wait()
-		}
-	})
 }
 
 // do runs one operation on the cell under its lock. Because every admit

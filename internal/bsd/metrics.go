@@ -12,10 +12,8 @@ import (
 //
 //   - GET /metrics — Prometheus text exposition of every per-cell series
 //     (admits/blocks/drops by class, shed, occupancy, capacity,
-//     degradation depth, expdecay hotness; with tiering, each cell's
-//     decision-surface tier and the tier-occupancy histogram) plus the
-//     registered process-wide scalars (the decision-surface cache and
-//     tiered-recompile counters).
+//     degradation depth, expdecay hotness) plus the registered
+//     process-wide scalars (the decision-surface cache counters).
 //   - GET /hotcells — a JSON hotness ranking of the cells, hottest
 //     first, each entry carrying the cell's rate and headline counters.
 //     ?n=K limits the ranking to the K hottest cells.
@@ -40,25 +38,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 			strconv.FormatFloat(s.hot.HalfLife(), 'g', -1, 64)+"s).",
 		s.hot.Rates(s.Uptime(), nil)); err != nil {
 		return
-	}
-	if s.tiers != nil {
-		perCell := make([]float64, len(s.cells))
-		occ := make([]float64, s.tiers.NumTiers())
-		for i := range s.cells {
-			t := s.tiers.Tier(i)
-			perCell[i] = float64(t)
-			occ[t]++
-		}
-		if err := metrics.WriteCellGauge(w, "facs_surface_tier",
-			"Decision-surface tier currently installed for the cell (0 = coldest).",
-			perCell); err != nil {
-			return
-		}
-		if err := metrics.WriteLabeledGauge(w, "facs_surface_tier_cells",
-			"Cells currently on each decision-surface tier.",
-			"tier", occ); err != nil {
-			return
-		}
 	}
 	_ = metrics.WriteScalars(w)
 }

@@ -230,13 +230,7 @@ func RunSharded(cfg Config, adm Admitter, opts ShardOptions) (Result, error) {
 // shardStreams resolves the run's traffic into per-cell sources in slot
 // order. Unlike the single-heap engine every stream is counted.
 func (r *shardRun) shardStreams() []stream {
-	return resolveShardStreams(r.cfg, r.topo, r.centre)
-}
-
-// resolveShardStreams is the pure form of shardStreams, shared with the
-// offered-rate preview of OfferedRates: the per-cell traffic sources of a
-// config, in slot order, as a function of nothing but (cfg, topo, centre).
-func resolveShardStreams(cfg Config, topo *hexgrid.Topology, centre hexgrid.Coord) []stream {
+	cfg, topo, centre := r.cfg, r.topo, r.centre
 	perCell := make(map[hexgrid.Coord]CellTraffic, len(cfg.PerCell))
 	for _, ct := range cfg.PerCell {
 		perCell[ct.Cell] = ct
@@ -343,12 +337,7 @@ func (r *shardRun) predraw() (int, error) {
 // both sample the hexagon's tight [-inradius, inradius] x
 // [-circumradius, circumradius] bounding box from the layout's geometry.
 func (r *shardRun) randomPointInCell(src *rng.Source, cell hexgrid.Coord) (x, y float64) {
-	return randomPointInCell(src, r.layout, cell)
-}
-
-// randomPointInCell is the pure form, shared with the offered-rate preview
-// so its draw sequence stays aligned with the sharded engine's predraw.
-func randomPointInCell(src *rng.Source, layout hexgrid.Layout, cell hexgrid.Coord) (x, y float64) {
+	layout := r.layout
 	cx, cy := layout.Center(cell)
 	w := layout.Inradius()
 	rad := layout.Size

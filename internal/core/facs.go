@@ -37,12 +37,6 @@ type Config struct {
 	// output term rather than the rule-activation trace. 0 keeps exact
 	// inference.
 	SurfaceResolution int
-	// Surfaces, when non-nil, supplies the controller's decision surfaces
-	// on every evaluation — the hook the tiered per-cell selector
-	// (Tiered.Cell) uses to retarget a cell's resolution at runtime without
-	// rebuilding the controller. A (nil, nil) answer selects exact
-	// inference. Mutually exclusive with SurfaceResolution.
-	Surfaces SurfaceProvider
 }
 
 // WithSurfaceCache returns a copy of the config with the decision-surface
@@ -74,9 +68,6 @@ func (c Config) validate() error {
 	}
 	if err := ValidateSurfaceResolution(c.SurfaceResolution); err != nil {
 		return err
-	}
-	if c.Surfaces != nil && c.SurfaceResolution != 0 {
-		return fmt.Errorf("core: config sets both Surfaces and SurfaceResolution %d", c.SurfaceResolution)
 	}
 	return nil
 }
@@ -157,11 +148,7 @@ func (f *FACS) Evaluate(req cac.Request, counterBU float64) (Decision, error) {
 	// Scale occupancy into the Cs universe so that non-default capacities
 	// keep the paper's linguistic meaning of Small/Middle/Full.
 	cs := counterBU * CounterMax / f.cfg.Capacity
-	surf1, surf2 := f.surf1, f.surf2
-	if f.cfg.Surfaces != nil {
-		surf1, surf2 = f.cfg.Surfaces.Surfaces()
-	}
-	cv, score, outcome, err := inferScore(f.flc1, f.flc2, surf1, surf2,
+	cv, score, outcome, err := inferScore(f.flc1, f.flc2, f.surf1, f.surf2,
 		req.Speed, req.Angle, req.Bandwidth, cs)
 	if err != nil {
 		return Decision{}, err

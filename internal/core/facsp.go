@@ -52,10 +52,6 @@ type PConfig struct {
 	// ticks per input axis; Admit then answers by multilinear interpolation
 	// instead of a full Mamdani pass. See Config.SurfaceResolution.
 	SurfaceResolution int
-	// Surfaces, when non-nil, supplies the controller's decision surfaces
-	// on every evaluation (see Config.Surfaces): the tiered per-cell
-	// selector hook. Mutually exclusive with SurfaceResolution.
-	Surfaces SurfaceProvider
 }
 
 // WithSurfaceCache returns a copy of the config with the decision-surface
@@ -106,9 +102,6 @@ func (c PConfig) validate() error {
 	}
 	if err := ValidateSurfaceResolution(c.SurfaceResolution); err != nil {
 		return err
-	}
-	if c.Surfaces != nil && c.SurfaceResolution != 0 {
-		return fmt.Errorf("core: config sets both Surfaces and SurfaceResolution %d", c.SurfaceResolution)
 	}
 	return nil
 }
@@ -185,11 +178,7 @@ func (f *FACSP) Evaluate(req cac.Request, rtcBU, nrtcBU float64) (Decision, erro
 	// The Cs input sees the combined occupancy, scaled into the paper's
 	// 0-40 universe.
 	cs := (rtcBU + nrtcBU) * CounterMax / f.cfg.Capacity
-	surf1, surf2 := f.surf1, f.surf2
-	if f.cfg.Surfaces != nil {
-		surf1, surf2 = f.cfg.Surfaces.Surfaces()
-	}
-	cv, score, outcome, err := inferScore(f.flc1, f.flc2, surf1, surf2,
+	cv, score, outcome, err := inferScore(f.flc1, f.flc2, f.surf1, f.surf2,
 		req.Speed, req.Angle, req.Bandwidth, cs)
 	if err != nil {
 		return Decision{}, err

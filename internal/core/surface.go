@@ -15,6 +15,17 @@ import (
 // Config.SurfaceResolution and PConfig.SurfaceResolution).
 const DefaultSurfaceResolution = fuzzy.DefaultSurfaceResolution
 
+// ValidateSurfaceResolution is the single validation rule for a per-axis
+// decision-surface resolution, shared by Config, PConfig, the experiment
+// options and the command-line flags: 0 selects exact inference, anything
+// else must be a grid of at least 2 ticks per axis.
+func ValidateSurfaceResolution(resolution int) error {
+	if resolution < 0 || resolution == 1 {
+		return fmt.Errorf("core: surface resolution %d must be 0 (exact) or >= 2", resolution)
+	}
+	return nil
+}
+
 // surfaceKey identifies one shareable compiled surface. The paper's FLC1
 // and FLC2 are static rule bases, so two controllers with the same
 // resolution, integration density and defuzzifier value produce

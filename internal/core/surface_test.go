@@ -245,3 +245,77 @@ func TestSurfaceResolutionValidation(t *testing.T) {
 		t.Errorf("WithSurfaceCache(65) resolution = %d", got)
 	}
 }
+
+// surfaceScoreTol documents the end-to-end FACS-P score tolerance of each
+// surface resolution versus exact inference (measured over the dense
+// lattice below, stated with headroom; the ARMin..ARMax score axis spans
+// 2.0). Resolution 33's bound is the 2*flc1Tolerance+flc2Tolerance
+// composite of TestSurfaceControllerDecisionsTrackExact.
+var surfaceScoreTol = map[int]float64{
+	9:  0.30,                            // measured 0.143
+	17: 0.25,                            // measured 0.120
+	33: 2*flc1Tolerance + flc2Tolerance, // the documented default-resolution composite
+	65: 0.05,                            // measured 0.006
+	0:  0,                               // exact inference: identical by construction
+}
+
+// TestSurfaceResolutionMatchesExact drives a dense input lattice through a
+// FACS-P at each PConfig.SurfaceResolution and through exact inference,
+// asserting the accuracy contract: scores within the resolution's
+// documented tolerance, and identical decisions whenever the exact score is
+// not within tolerance of the threshold.
+func TestSurfaceResolutionMatchesExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dense lattice")
+	}
+	exact, err := NewFACSP(DefaultPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []int{9, 17, 33, 65, 0} {
+		pc := DefaultPConfig()
+		pc.SurfaceResolution = res
+		cached, err := NewFACSP(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := surfaceScoreTol[res]
+		worst, disagreements := 0.0, 0
+		for sp := 0.0; sp <= SpeedMax; sp += 7.5 {
+			for an := 0.0; an <= AngleMax; an += 11.25 {
+				for _, bw := range []float64{TextBU, VoiceBU, VideoBU} {
+					for _, occ := range []float64{0, 0.3, 0.6, 0.9} {
+						req := cac.Request{ID: 1, Speed: sp, Angle: an, Bandwidth: bw, RealTime: true}
+						rtc := occ * CounterMax
+						de, err := exact.Evaluate(req, rtc, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						dc, err := cached.Evaluate(req, rtc, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						d := math.Abs(de.Score - dc.Score)
+						worst = math.Max(worst, d)
+						if d > tol {
+							t.Fatalf("res %d at (%v,%v,%v,occ %v): score %v vs exact %v, error %v > %v",
+								res, sp, an, bw, occ, dc.Score, de.Score, d, tol)
+						}
+						if de.Accept != dc.Accept {
+							disagreements++
+							if math.Abs(de.Score-de.Threshold) > tol {
+								t.Fatalf("res %d at (%v,%v,%v,occ %v): decision flipped with exact score %v a full %v from threshold %v",
+									res, sp, an, bw, occ, de.Score, math.Abs(de.Score-de.Threshold), de.Threshold)
+							}
+						}
+					}
+				}
+			}
+		}
+		t.Logf("res %2d: max score error %.4f (tolerance %v), %d near-threshold decision flips",
+			res, worst, tol, disagreements)
+		if res == 0 && (worst != 0 || disagreements != 0) {
+			t.Errorf("exact inference deviated: worst %v, %d flips", worst, disagreements)
+		}
+	}
+}

@@ -4,25 +4,6 @@ package des
 
 import "testing"
 
-// chainHandler reschedules itself n times: the classic event-loop shape
-// (every executed event arms the next), driving schedule + pop + dispatch
-// through the arena and free list.
-type chainHandler struct {
-	sim  *Sim
-	left int
-	arg  int // pointer target so Op.Arg stays pointer-shaped
-}
-
-func (h *chainHandler) RunOp(now float64, op Op) {
-	if h.left == 0 {
-		return
-	}
-	h.left--
-	if _, err := h.sim.AfterOp(1, Op{Code: op.Code, Arg: &h.arg}); err != nil {
-		panic(err)
-	}
-}
-
 // TestEventLoopAllocFree pins the des kernel's hot-path contract: once the
 // arena and heap are warm, a schedule→run cycle of typed events performs
 // zero allocations per event. The simulation core (cellsim) and the perf

@@ -1,13 +1,10 @@
 // Package des is a minimal discrete-event simulation kernel: a simulation
 // clock and a binary-heap event queue with deterministic tie-breaking.
 //
-// Events come in two shapes. Closure events (At/After) are callbacks
-// scheduled at absolute simulation times — convenient, but each schedule
-// captures its environment on the heap. Typed events (AtOp/AfterOp) carry
-// an operation code and a pointer-shaped argument to a Handler installed
-// with SetHandler; the queue stores them by value in a reusable arena, so
-// a hot loop that schedules millions of them performs no per-event
-// allocation. Both shapes share one queue and one ordering.
+// Events are typed (AtOp/AfterOp): each carries an operation code and a
+// pointer-shaped argument to a Handler installed with SetHandler. The
+// queue stores them by value in a reusable arena, so a hot loop that
+// schedules millions of them performs no per-event allocation.
 //
 // Ties are broken by insertion order, so two runs that schedule the same
 // events in the same order execute identically — a property the experiment
@@ -18,9 +15,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Event is a callback executed at its scheduled simulation time.
-type Event func(now float64)
 
 // Op is a typed event payload: an operation code and its argument. Arg
 // should hold a pointer-shaped value (a pointer into a caller-owned slab,
@@ -44,7 +38,6 @@ type Handler interface {
 type item struct {
 	at  float64
 	seq uint64
-	fn  Event // nil for typed events
 	op  Op
 	gen uint32
 	pos int32 // index into Sim.heap, -1 when not queued
@@ -147,7 +140,6 @@ func (s *Sim) alloc() int32 {
 func (s *Sim) freeSlot(idx int32) {
 	it := &s.arena[idx]
 	it.gen++
-	it.fn = nil
 	it.op = Op{}
 	it.pos = -1
 	s.free = append(s.free, idx)
@@ -165,32 +157,11 @@ func (s *Sim) schedule(idx int32, at float64) Handle {
 	return Handle{idx: idx, gen: it.gen}
 }
 
-// At schedules fn at absolute time at. Scheduling in the past (before the
-// current simulation time) or at a non-finite time is a driver bug and
-// returns an error.
-func (s *Sim) At(at float64, fn Event) (Handle, error) {
-	if fn == nil {
-		return Handle{}, fmt.Errorf("des: schedule of nil event at t=%v", at)
-	}
-	if err := s.checkTime(at); err != nil {
-		return Handle{}, err
-	}
-	idx := s.alloc()
-	s.arena[idx].fn = fn
-	return s.schedule(idx, at), nil
-}
-
-// After schedules fn delay time units from now.
-func (s *Sim) After(delay float64, fn Event) (Handle, error) {
-	if delay < 0 {
-		return Handle{}, fmt.Errorf("des: negative delay %v", delay)
-	}
-	return s.At(s.now+delay, fn)
-}
-
 // AtOp schedules a typed event at absolute time at, to be executed by the
 // Handler installed with SetHandler. It performs no allocation beyond
-// amortized arena growth.
+// amortized arena growth. Scheduling in the past (before the current
+// simulation time) or at a non-finite time is a driver bug and returns an
+// error.
 func (s *Sim) AtOp(at float64, op Op) (Handle, error) {
 	if s.handler == nil {
 		return Handle{}, fmt.Errorf("des: AtOp(%v) with no Handler installed", at)
@@ -233,16 +204,11 @@ func (s *Sim) Step() bool {
 	}
 	e := s.heap[0]
 	s.removeAt(0)
-	it := &s.arena[e.idx]
-	fn, op := it.fn, it.op
+	op := s.arena[e.idx].op
 	s.freeSlot(e.idx) // before running: the event may reschedule into this slot
 	s.now = e.at
 	s.popped++
-	if fn != nil {
-		fn(s.now)
-	} else {
-		s.handler.RunOp(s.now, op)
-	}
+	s.handler.RunOp(s.now, op)
 	return true
 }
 

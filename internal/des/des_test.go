@@ -8,6 +8,14 @@ import (
 	"facsp/internal/rng"
 )
 
+// newRecorded returns a Sim whose Handler records every op it runs.
+func newRecorded() (*Sim, *recorder) {
+	s := &Sim{}
+	rec := &recorder{}
+	s.SetHandler(rec)
+	return s, rec
+}
+
 func TestZeroValueUsable(t *testing.T) {
 	var s Sim
 	if got := s.Now(); got != 0 {
@@ -22,106 +30,107 @@ func TestZeroValueUsable(t *testing.T) {
 }
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	var s Sim
-	var order []float64
+	s, rec := newRecorded()
 	for _, at := range []float64{5, 1, 3, 2, 4} {
-		at := at
-		if _, err := s.At(at, func(now float64) { order = append(order, now) }); err != nil {
-			t.Fatalf("At(%v): %v", at, err)
+		if _, err := s.AtOp(at, Op{}); err != nil {
+			t.Fatalf("AtOp(%v): %v", at, err)
 		}
 	}
 	s.Run(0)
 	want := []float64{1, 2, 3, 4, 5}
-	if len(order) != len(want) {
-		t.Fatalf("executed %d events, want %d", len(order), len(want))
+	if len(rec.times) != len(want) {
+		t.Fatalf("executed %d events, want %d", len(rec.times), len(want))
 	}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Errorf("event %d ran at %v, want %v", i, order[i], want[i])
+		if rec.times[i] != want[i] {
+			t.Errorf("event %d ran at %v, want %v", i, rec.times[i], want[i])
 		}
 	}
 }
 
 func TestTiesBreakByInsertionOrder(t *testing.T) {
-	var s Sim
-	var order []int
+	s, rec := newRecorded()
 	for i := 0; i < 10; i++ {
-		i := i
-		if _, err := s.At(7, func(float64) { order = append(order, i) }); err != nil {
+		if _, err := s.AtOp(7, Op{Code: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Run(0)
-	for i, got := range order {
+	for i, got := range rec.codes {
 		if got != i {
-			t.Fatalf("tie order = %v, want insertion order", order)
+			t.Fatalf("tie order = %v, want insertion order", rec.codes)
 		}
 	}
 }
 
 func TestClockAdvances(t *testing.T) {
-	var s Sim
-	if _, err := s.At(2.5, func(now float64) {
-		if now != 2.5 {
-			t.Errorf("callback saw now=%v, want 2.5", now)
-		}
-	}); err != nil {
+	s, rec := newRecorded()
+	if _, err := s.AtOp(2.5, Op{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(0)
+	if len(rec.times) != 1 || rec.times[0] != 2.5 {
+		t.Errorf("handler saw now=%v, want [2.5]", rec.times)
+	}
 	if got := s.Now(); got != 2.5 {
 		t.Errorf("Now after run = %v, want 2.5", got)
 	}
 }
 
+// afterHandler records every op and answers op code 0 by scheduling op
+// code 1 five time units later.
+type afterHandler struct {
+	recorder
+	sim *Sim
+	err error
+}
+
+func (h *afterHandler) RunOp(now float64, op Op) {
+	h.recorder.RunOp(now, op)
+	if op.Code == 0 {
+		_, h.err = h.sim.AfterOp(5, Op{Code: 1})
+	}
+}
+
 func TestAfterSchedulesRelative(t *testing.T) {
 	var s Sim
-	var ran bool
-	if _, err := s.At(10, func(now float64) {
-		if _, err := s.After(5, func(now2 float64) {
-			if now2 != 15 {
-				t.Errorf("After event at %v, want 15", now2)
-			}
-			ran = true
-		}); err != nil {
-			t.Errorf("After: %v", err)
-		}
-	}); err != nil {
+	h := &afterHandler{sim: &s}
+	s.SetHandler(h)
+	if _, err := s.AtOp(10, Op{Code: 0}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(0)
-	if !ran {
-		t.Error("After event never ran")
+	if h.err != nil {
+		t.Fatalf("AfterOp: %v", h.err)
+	}
+	if len(h.times) != 2 || h.times[1] != 15 || h.codes[1] != 1 {
+		t.Errorf("ran (times %v, codes %v), want the AfterOp event at 15", h.times, h.codes)
 	}
 }
 
 func TestScheduleErrors(t *testing.T) {
-	var s Sim
-	if _, err := s.At(1, nil); err == nil {
-		t.Error("nil event accepted")
-	}
-	if _, err := s.At(math.NaN(), func(float64) {}); err == nil {
+	s, _ := newRecorded()
+	if _, err := s.AtOp(math.NaN(), Op{}); err == nil {
 		t.Error("NaN time accepted")
 	}
-	if _, err := s.At(math.Inf(1), func(float64) {}); err == nil {
+	if _, err := s.AtOp(math.Inf(1), Op{}); err == nil {
 		t.Error("Inf time accepted")
 	}
-	if _, err := s.After(-1, func(float64) {}); err == nil {
+	if _, err := s.AfterOp(-1, Op{}); err == nil {
 		t.Error("negative delay accepted")
 	}
-	if _, err := s.At(5, func(float64) {}); err != nil {
+	if _, err := s.AtOp(5, Op{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(0)
-	if _, err := s.At(4, func(float64) {}); err == nil {
+	if _, err := s.AtOp(4, Op{}); err == nil {
 		t.Error("scheduling in the past accepted")
 	}
 }
 
 func TestCancel(t *testing.T) {
-	var s Sim
-	ran := false
-	h, err := s.At(1, func(float64) { ran = true })
+	s, rec := newRecorded()
+	h, err := s.AtOp(1, Op{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,7 @@ func TestCancel(t *testing.T) {
 		t.Error("double Cancel returned true")
 	}
 	s.Run(0)
-	if ran {
+	if len(rec.times) != 0 {
 		t.Error("cancelled event ran")
 	}
 	if s.Cancel(Handle{}) {
@@ -141,8 +150,8 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelAfterExecution(t *testing.T) {
-	var s Sim
-	h, err := s.At(1, func(float64) {})
+	s, _ := newRecorded()
+	h, err := s.AtOp(1, Op{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +162,10 @@ func TestCancelAfterExecution(t *testing.T) {
 }
 
 func TestPendingAndExecuted(t *testing.T) {
-	var s Sim
-	h1, _ := s.At(1, func(float64) {})
-	s.At(2, func(float64) {})
-	s.At(3, func(float64) {})
+	s, _ := newRecorded()
+	h1, _ := s.AtOp(1, Op{})
+	s.AtOp(2, Op{})
+	s.AtOp(3, Op{})
 	if got := s.Pending(); got != 3 {
 		t.Errorf("Pending = %d, want 3", got)
 	}
@@ -174,16 +183,15 @@ func TestPendingAndExecuted(t *testing.T) {
 }
 
 func TestRunBudget(t *testing.T) {
-	var s Sim
-	count := 0
+	s, rec := newRecorded()
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func(float64) { count++ })
+		s.AtOp(float64(i), Op{})
 	}
 	if got := s.Run(4); got != 4 {
 		t.Errorf("Run(4) executed %d", got)
 	}
-	if count != 4 {
-		t.Errorf("count = %d, want 4", count)
+	if len(rec.times) != 4 {
+		t.Errorf("count = %d, want 4", len(rec.times))
 	}
 	if got := s.Run(0); got != 6 {
 		t.Errorf("Run(0) executed %d, want remaining 6", got)
@@ -191,10 +199,9 @@ func TestRunBudget(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	var s Sim
-	var ran []float64
+	s, _ := newRecorded()
 	for _, at := range []float64{1, 2, 3, 4, 5} {
-		s.At(at, func(now float64) { ran = append(ran, now) })
+		s.AtOp(at, Op{})
 	}
 	if got := s.RunUntil(3); got != 3 {
 		t.Errorf("RunUntil(3) executed %d, want 3", got)
@@ -215,9 +222,9 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilSkipsCancelledHead(t *testing.T) {
-	var s Sim
-	h, _ := s.At(1, func(float64) {})
-	s.At(2, func(float64) {})
+	s, _ := newRecorded()
+	h, _ := s.AtOp(1, Op{})
+	s.AtOp(2, Op{})
 	s.Cancel(h)
 	if got := s.RunUntil(1.5); got != 0 {
 		t.Errorf("RunUntil(1.5) executed %d, want 0", got)
@@ -229,19 +236,12 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 
 func TestSelfSchedulingChain(t *testing.T) {
 	var s Sim
-	hops := 0
-	var hop Event
-	hop = func(now float64) {
-		hops++
-		if hops < 100 {
-			if _, err := s.After(1, hop); err != nil {
-				t.Errorf("After: %v", err)
-			}
-		}
+	h := &chainHandler{sim: &s, left: 99}
+	s.SetHandler(h)
+	if _, err := s.AtOp(0, Op{Arg: &h.arg}); err != nil {
+		t.Fatal(err)
 	}
-	s.At(0, hop)
-	s.Run(0)
-	if hops != 100 {
+	if hops := s.Run(0); hops != 100 {
 		t.Errorf("hops = %d, want 100", hops)
 	}
 	if got := s.Now(); got != 99 {
@@ -254,42 +254,22 @@ func TestSelfSchedulingChain(t *testing.T) {
 func TestQuickRandomSchedulesOrdered(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		src := rng.New(seed)
-		var s Sim
+		s, rec := newRecorded()
 		total := int(n%64) + 1
-		var times []float64
-		ok := true
-		prev := -1.0
 		for i := 0; i < total; i++ {
-			at := src.Float64() * 100
-			times = append(times, at)
-			if _, err := s.At(at, func(now float64) {
-				if now < prev {
-					ok = false
-				}
-				prev = now
-			}); err != nil {
+			if _, err := s.AtOp(src.Float64()*100, Op{}); err != nil {
 				return false
 			}
 		}
 		executed := s.Run(0)
-		return ok && executed == uint64(len(times))
+		for i := 1; i < len(rec.times); i++ {
+			if rec.times[i] < rec.times[i-1] {
+				return false
+			}
+		}
+		return executed == uint64(total) && len(rec.times) == total
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	src := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var s Sim
-		for j := 0; j < 128; j++ {
-			if _, err := s.At(src.Float64()*1000, func(float64) {}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		s.Run(0)
 	}
 }

@@ -1,10 +1,10 @@
 package des
 
-// Tests for the typed-event path and the arena recycling underneath both
-// event shapes: cancelled events must never fire after their slot is
-// reused, handles must stay valid (and only cancel their own event) across
-// recycling, and the (time, seq) tie-break contract must survive any mix
-// of schedules and cancellations.
+// Tests for the typed-event path and the arena recycling underneath it:
+// cancelled events must never fire after their slot is reused, handles
+// must stay valid (and only cancel their own event) across recycling, and
+// the (time, seq) tie-break contract must survive any mix of schedules and
+// cancellations.
 
 import (
 	"sort"
@@ -25,6 +25,25 @@ func (r *recorder) RunOp(now float64, op Op) {
 	r.times = append(r.times, now)
 	r.codes = append(r.codes, op.Code)
 	r.args = append(r.args, op.Arg)
+}
+
+// chainHandler reschedules itself n times: the classic event-loop shape
+// (every executed event arms the next), driving schedule + pop + dispatch
+// through the arena and free list.
+type chainHandler struct {
+	sim  *Sim
+	left int
+	arg  int // pointer target so Op.Arg stays pointer-shaped
+}
+
+func (h *chainHandler) RunOp(now float64, op Op) {
+	if h.left == 0 {
+		return
+	}
+	h.left--
+	if _, err := h.sim.AfterOp(1, Op{Code: op.Code, Arg: &h.arg}); err != nil {
+		panic(err)
+	}
 }
 
 func TestTypedOpsRunInOrder(t *testing.T) {
@@ -71,9 +90,8 @@ func TestAfterOpNegativeDelay(t *testing.T) {
 // recycles the slot must fire exactly once, and neither the cancelled
 // event nor a second Cancel through the stale handle may affect it.
 func TestCancelledEventNeverFiresAfterReuse(t *testing.T) {
-	var s Sim
-	cancelledRan := false
-	h, err := s.At(1, func(float64) { cancelledRan = true })
+	s, rec := newRecorded()
+	h, err := s.AtOp(1, Op{Code: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +99,15 @@ func TestCancelledEventNeverFiresAfterReuse(t *testing.T) {
 		t.Fatal("Cancel of a live event returned false")
 	}
 	// This schedule recycles the freed slot (single-slot arena).
-	ran := 0
-	if _, err := s.At(2, func(float64) { ran++ }); err != nil {
+	if _, err := s.AtOp(2, Op{Code: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Cancel(h) {
 		t.Error("stale handle cancelled the slot's new tenant")
 	}
 	s.Run(0)
-	if cancelledRan {
-		t.Error("cancelled event ran")
-	}
-	if ran != 1 {
-		t.Errorf("recycled-slot event ran %d times, want 1", ran)
+	if len(rec.codes) != 1 || rec.codes[0] != 2 {
+		t.Errorf("ran ops %v, want only the recycled-slot event [2] once", rec.codes)
 	}
 }
 
@@ -101,17 +115,17 @@ func TestCancelledEventNeverFiresAfterReuse(t *testing.T) {
 // events to cycle every arena slot several times, checking that each
 // handle cancels exactly its own event.
 func TestHandlesValidAcrossRecycling(t *testing.T) {
-	var s Sim
-	fired := map[int]bool{}
+	s, rec := newRecorded()
 	next := 0.0
 	schedule := func(id int) Handle {
 		next++
-		h, err := s.At(next, func(float64) { fired[id] = true })
+		h, err := s.AtOp(next, Op{Code: id})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
+	fired := map[int]bool{}
 	for round := 0; round < 10; round++ {
 		base := round * 4
 		keep := schedule(base)
@@ -125,6 +139,9 @@ func TestHandlesValidAcrossRecycling(t *testing.T) {
 			t.Fatalf("round %d: stale handle cancelled a live event", round)
 		}
 		s.Run(0)
+		for _, code := range rec.codes {
+			fired[code] = true
+		}
 		if !fired[base] || fired[base+1] || !fired[base+2] {
 			t.Fatalf("round %d: fired = %v", round, fired)
 		}
@@ -135,13 +152,11 @@ func TestHandlesValidAcrossRecycling(t *testing.T) {
 }
 
 func TestResetRecyclesArena(t *testing.T) {
-	var s Sim
-	rec := &recorder{}
-	s.SetHandler(rec)
-	if _, err := s.At(1, func(float64) {}); err != nil {
+	s, rec := newRecorded()
+	if _, err := s.AtOp(1, Op{Code: 1}); err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.At(5, func(float64) { t.Error("pre-Reset event ran") })
+	h, err := s.AtOp(5, Op{Code: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +178,15 @@ func TestResetRecyclesArena(t *testing.T) {
 	if got := s.Run(0); got != 1 {
 		t.Errorf("Run after Reset executed %d events, want 1", got)
 	}
-	if len(rec.codes) != 1 || rec.codes[0] != 7 {
-		t.Errorf("post-Reset ops = %v, want [7]", rec.codes)
+	if len(rec.codes) != 2 || rec.codes[0] != 1 || rec.codes[1] != 7 {
+		t.Errorf("ops = %v, want [1 7]: the pre-Reset t=5 event must never run", rec.codes)
 	}
 }
 
 // TestQuickTieBreakSurvivesCancellation is the property test for the
-// refactored queue: under a random mix of closure events, typed events and
-// cancellations, the surviving events run exactly in (time, insertion-seq)
-// order — the same order a sort of the surviving schedule gives.
+// queue: under a random mix of schedules and cancellations, the surviving
+// events run exactly in (time, insertion-seq) order — the same order a
+// sort of the surviving schedule gives.
 func TestQuickTieBreakSurvivesCancellation(t *testing.T) {
 	type sched struct {
 		at  float64
@@ -179,13 +194,7 @@ func TestQuickTieBreakSurvivesCancellation(t *testing.T) {
 	}
 	f := func(seed uint64, n uint8) bool {
 		src := rng.New(seed)
-		var s Sim
-		var got []sched
-		rec := func(ev sched) func(float64) {
-			return func(float64) { got = append(got, ev) }
-		}
-		handler := &recorder{}
-		s.SetHandler(handler)
+		s, rec := newRecorded()
 
 		total := int(n%80) + 2
 		var want []sched
@@ -195,7 +204,7 @@ func TestQuickTieBreakSurvivesCancellation(t *testing.T) {
 			// Coarse times force frequent ties; the tie-break must hold.
 			at := float64(src.Intn(8))
 			ev := sched{at: at, seq: i}
-			h, err := s.At(at, rec(ev))
+			h, err := s.AtOp(at, Op{Code: i})
 			if err != nil {
 				return false
 			}
@@ -220,11 +229,11 @@ func TestQuickTieBreakSurvivesCancellation(t *testing.T) {
 			return want[i].seq < want[j].seq
 		})
 		s.Run(0)
-		if len(got) != len(want) {
+		if len(rec.codes) != len(want) {
 			return false
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if (sched{at: rec.times[i], seq: rec.codes[i]}) != want[i] {
 				return false
 			}
 		}

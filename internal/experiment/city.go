@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"facsp/internal/cellsim"
-	"facsp/internal/core"
-	"facsp/internal/hexgrid"
 	"facsp/internal/scenario"
 )
 
@@ -31,12 +29,6 @@ type CityRun struct {
 	// Shard carries the group/worker split; the zero value picks
 	// topology-default groups and GOMAXPROCS-bounded workers.
 	Shard cellsim.ShardOptions
-	// Tiers, when non-nil, runs the scheme on hotness-tiered decision
-	// surfaces: every cell's resolution is assigned statically before the
-	// run from the sim-time hotness axis (AssignTiers), so the result
-	// stays bit-identical for any worker count. Only fuzzy schemes can
-	// tier (TieredSchemeFactory); Options.SurfaceResolution is ignored.
-	Tiers *core.TierConfig
 }
 
 // RunCity validates the scenario, builds the scheme's per-cell admitter
@@ -53,28 +45,8 @@ func RunCity(s *scenario.Scenario, run CityRun, opts Options) (cellsim.Result, e
 	if err != nil {
 		return cellsim.Result{}, err
 	}
-	var factory AdmitterFactory
-	if run.Tiers != nil {
-		tiers, err := AssignTiers(cfg, *run.Tiers)
-		if err != nil {
-			return cellsim.Result{}, fmt.Errorf("experiment: city %q: assigning tiers: %w", s.Name, err)
-		}
-		topo := cfg.Topology
-		if topo == nil {
-			topo = hexgrid.DiskTopology(hexgrid.Coord{}, cfg.Rings)
-		}
-		ladder := run.Tiers.Tiers
-		factory, err = TieredSchemeFactory(run.Scheme, s, func(cell hexgrid.Coord) int {
-			slot, ok := topo.Of(cell)
-			if !ok {
-				panic(fmt.Sprintf("experiment: cell %v outside the city topology", cell))
-			}
-			return ladder[tiers[slot]].Resolution
-		})
-		if err != nil {
-			return cellsim.Result{}, err
-		}
-	} else if factory, err = ScenarioSchemeFactory(run.Scheme, s, opts); err != nil {
+	factory, err := ScenarioSchemeFactory(run.Scheme, s, opts)
+	if err != nil {
 		return cellsim.Result{}, err
 	}
 	adm := factory()

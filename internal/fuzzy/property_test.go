@@ -134,14 +134,13 @@ func TestPropertySurfaceMatchesEngineInvariants(t *testing.T) {
 	}
 }
 
-// TestPropertyTierResolutionLadder sweeps a dense input lattice through a
-// surface at each resolution of the tiered selector's ladder (see
-// core.DefaultTierConfig), asserting the interpolation error against exact
-// inference stays inside the documented per-resolution bound and never
-// grows as the resolution rises — the property that makes a promotion
-// ladder meaningful. Bounds are measured maxima with ~2x headroom on the
-// tipper's 0-30 output universe.
-func TestPropertyTierResolutionLadder(t *testing.T) {
+// TestPropertySurfaceErrorShrinksWithResolution sweeps a dense input
+// lattice through a surface at resolutions 9, 17, 33 and 65, asserting the
+// interpolation error against exact inference stays inside the documented
+// per-resolution bound and never grows as the resolution rises — the
+// property that makes a finer surface worth its memory. Bounds are
+// measured maxima with ~2x headroom on the tipper's 0-30 output universe.
+func TestPropertySurfaceErrorShrinksWithResolution(t *testing.T) {
 	bounds := map[int]float64{9: 1.4, 17: 0.8, 33: 0.4, 65: 0.2}
 	e := tipperEngine(t)
 	prev := math.Inf(1)
@@ -173,7 +172,7 @@ func TestPropertyTierResolutionLadder(t *testing.T) {
 			t.Errorf("resolution %d: max lattice error %v > documented bound %v", res, worst, bounds[res])
 		}
 		if worst > prev {
-			t.Errorf("resolution %d: error %v grew over the coarser tier's %v", res, worst, prev)
+			t.Errorf("resolution %d: error %v grew over the coarser resolution's %v", res, worst, prev)
 		}
 		prev = worst
 		t.Logf("resolution %2d: max lattice error %.4f (bound %v)", res, worst, bounds[res])

@@ -25,8 +25,6 @@ func Families() []string {
 		"facs_capacity_bu",
 		"facs_degraded_conns",
 		"facs_hotness",
-		"facs_surface_tier",
-		"facs_surface_tier_cells",
 	}
 	for _, s := range registeredScalars() {
 		out = append(out, s.name)
@@ -114,21 +112,6 @@ func WriteCellGauge(w io.Writer, name, help string, values []float64) error {
 	}
 	for cell, v := range values {
 		if _, err := fmt.Fprintf(w, "%s{cell=%q} %s\n", name, strconv.Itoa(cell), formatFloat(v)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteLabeledGauge renders one gauge family from a dense value slice
-// indexed by an integer label value — the decision-surface tier-occupancy
-// histogram, say, with label "tier".
-func WriteLabeledGauge(w io.Writer, name, help, label string, values []float64) error {
-	if err := header(w, name, help, "gauge"); err != nil {
-		return err
-	}
-	for i, v := range values {
-		if _, err := fmt.Fprintf(w, "%s{%s=%q} %s\n", name, label, strconv.Itoa(i), formatFloat(v)); err != nil {
 			return err
 		}
 	}

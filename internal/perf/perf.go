@@ -218,16 +218,6 @@ func Registry(sc SweepConfig) []Spec {
 		cityEvalSpec("city/eval/facsp/w4", 4, exact),
 	)
 
-	// The surface suite: the tiered decision-surface selector against the
-	// single-global-fine-surface status quo and exact inference, on the
-	// same metro-city controller bank with the same diverse request stream
-	// (internal/perf/tiers.go).
-	specs = append(specs,
-		surfaceTieredSpec("surface/tiered/metro", true),
-		surfaceGlobalFineSpec("surface/global-fine/metro", true),
-		surfaceExactSpec("surface/exact/metro", false),
-	)
-
 	// The serving suite: the admission daemon measured over real loopback
 	// TCP — a closed-loop round-trip cost spec and an open-loop
 	// flash-crowd replay whose admits/sec and latency percentiles land in

@@ -27,9 +27,9 @@ func TestRegistryNamesUniqueAndStable(t *testing.T) {
 			t.Fatalf("registry order unstable at %d: %q vs %q", i, s.Name, b[i].Name)
 		}
 		if !strings.HasPrefix(s.Name, "micro/") && !strings.HasPrefix(s.Name, "sweep/") &&
-			!strings.HasPrefix(s.Name, "city/") && !strings.HasPrefix(s.Name, "surface/") &&
-			!strings.HasPrefix(s.Name, "server/") && !strings.HasPrefix(s.Name, "scheme/") {
-			t.Errorf("spec %q outside the micro/, sweep/, city/, surface/, server/ and scheme/ namespaces", s.Name)
+			!strings.HasPrefix(s.Name, "city/") && !strings.HasPrefix(s.Name, "server/") &&
+			!strings.HasPrefix(s.Name, "scheme/") {
+			t.Errorf("spec %q outside the micro/, sweep/, city/, server/ and scheme/ namespaces", s.Name)
 		}
 	}
 }
@@ -71,19 +71,6 @@ func TestSmokeSpecsAreSubset(t *testing.T) {
 	if !found {
 		t.Error("smoke suite does not gate city/metro/guard")
 	}
-	// The tiered decision-surface selector and its status-quo rival must
-	// both be gated so the tiering win stays measured.
-	for _, want := range []string{"surface/tiered/metro", "surface/global-fine/metro"} {
-		found = false
-		for _, s := range smoke {
-			if s.Name == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("smoke suite does not gate %s", want)
-		}
-	}
 }
 
 func TestFilter(t *testing.T) {
@@ -123,31 +110,6 @@ func TestMeasureMicroSpec(t *testing.T) {
 	}
 	if r.SimCallsPerSec != 0 {
 		t.Errorf("micro spec reported sim calls: %+v", r)
-	}
-}
-
-// TestMeasureSurfaceSpecs runs the tiered and global-fine surface specs
-// end to end: both banks build (ladder anchoring, Preset installs, the
-// shared process surface cache) and both bodies admit without error.
-func TestMeasureSurfaceSpecs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing loop")
-	}
-	for _, name := range []string{"surface/tiered/metro", "surface/global-fine/metro"} {
-		specs, err := Filter(Specs(), "^"+name+"$")
-		if err != nil || len(specs) != 1 {
-			t.Fatalf("Filter(%s) = %v specs, err %v", name, len(specs), err)
-		}
-		r, err := specs[0].Measure(30 * time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Iterations < 1 || r.NsPerOp <= 0 {
-			t.Errorf("%s: implausible result %+v", name, r)
-		}
-		if r.SimCallsPerSec != 0 {
-			t.Errorf("%s: surface spec reported sim calls: %+v", name, r)
-		}
 	}
 }
 

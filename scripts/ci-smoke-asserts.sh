@@ -4,21 +4,16 @@
 # they can be reviewed, shellchecked and run locally:
 #
 #   scripts/ci-smoke-asserts.sh admits /tmp/metrics.txt
-#   scripts/ci-smoke-asserts.sh promotions http://127.0.0.1:4092/metrics
 #   scripts/ci-smoke-asserts.sh hotcells /tmp/hotcells.json
 #
 # admits      a /metrics dump must show a non-zero total of per-cell
 #             facs_admits_total counters (admissions actually flowed).
-# promotions  poll the /metrics endpoint until the tiered decision-surface
-#             ladder reports at least one promotion; the promotion is
-#             asynchronous (interval sampler + background recompile), so a
-#             single scrape would race it.
 # hotcells    a /hotcells JSON dump must rank cells by descending,
 #             positive demand rate.
 set -euo pipefail
 
 usage() {
-	echo "usage: $0 {admits <metrics-file>|promotions <metrics-url>|hotcells <hotcells-json>}" >&2
+	echo "usage: $0 {admits <metrics-file>|hotcells <hotcells-json>}" >&2
 	exit 2
 }
 
@@ -30,17 +25,6 @@ case "$cmd" in
 admits)
 	awk '$1 ~ /^facs_admits_total{/ { sum += $2 } END { exit !(sum > 0) }' "$arg"
 	echo "admit counters ok: non-zero facs_admits_total"
-	;;
-promotions)
-	promos=0
-	for _ in $(seq 1 20); do
-		promos=$(curl -sf "$arg" |
-			awk '$1 == "facs_surface_tier_promotions_total" { print int($2) }')
-		[ "${promos:-0}" -gt 0 ] && break
-		sleep 0.5
-	done
-	echo "tier promotions mid-burst: ${promos:-0}"
-	[ "${promos:-0}" -gt 0 ]
 	;;
 hotcells)
 	python3 - "$arg" <<-'EOF'
