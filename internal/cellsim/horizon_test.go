@@ -66,20 +66,30 @@ func horizonSchemes() map[string]func(testing.TB) Admitter {
 	}
 }
 
+// resultFields renders every Result field as name=value in declaration
+// order, floats by their bits, so two renderings are equal exactly when
+// the Results are bit-identical.
+func resultFields(r Result) []string {
+	v := reflect.ValueOf(r)
+	out := make([]string, v.NumField())
+	for i := range out {
+		f := v.Field(i)
+		val := fmt.Sprint(f.Interface()) // fmt prints maps in key order
+		if f.Kind() == reflect.Float64 {
+			val = fmt.Sprintf("%#016x", math.Float64bits(f.Float()))
+		}
+		out[i] = v.Type().Field(i).Name + "=" + val
+	}
+	return out
+}
+
 // resultDiff names the first field where two Results differ, comparing
 // floats by their bits; "" means bit-identical.
 func resultDiff(a, b Result) string {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	for i := 0; i < va.NumField(); i++ {
-		fa, fb := va.Field(i), vb.Field(i)
-		var same bool
-		if fa.Kind() == reflect.Float64 {
-			same = math.Float64bits(fa.Float()) == math.Float64bits(fb.Float())
-		} else {
-			same = reflect.DeepEqual(fa.Interface(), fb.Interface())
-		}
-		if !same {
-			return fmt.Sprintf("%s: %v (per-step) vs %v (horizon)", va.Type().Field(i).Name, fa, fb)
+	fa, fb := resultFields(a), resultFields(b)
+	for i := range fa {
+		if fa[i] != fb[i] {
+			return fmt.Sprintf("%s (per-step) vs %s (horizon)", fa[i], fb[i])
 		}
 	}
 	return ""
