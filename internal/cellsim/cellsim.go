@@ -24,12 +24,16 @@
 // over a compiled dense topology (hexgrid.Topology) instead of maps.
 // Sweep throughput is tracked by internal/perf and cmd/facs-bench.
 //
-// Two execution engines share that model. Run executes one event loop over
-// the whole network — the paper's reference path, bit-for-bit stable since
+// One call lifecycle (lifecycle.go) runs the network as cell groups, each
+// on its own event heap, and both execution engines drive it. Run is the
+// one-group case — the paper's reference path, bit-for-bit stable since
 // the first release. RunSharded (sharded.go) partitions the topology into
-// cell groups, runs each group on its own event heap and RNG substream,
-// and exchanges cross-cell handoffs at epoch barriers — the engine for
-// city-scale topologies of hundreds to thousands of cells.
+// many groups run in parallel and exchanges cross-cell handoffs at epoch
+// barriers — the engine for city-scale topologies of hundreds to
+// thousands of cells. What differs between them is a policy of four
+// choices fixed per run (arrival draws, handoff timing, which calls are
+// counted, and the summation order of the bandwidth integrals), each
+// keeping that engine's results bit-identical to its reference.
 //
 // All randomness flows from the Config seed; runs are reproducible
 // bit-for-bit regardless of how the enclosing sweep is sharded.
@@ -37,16 +41,12 @@ package cellsim
 
 import (
 	"fmt"
-	"sync"
 
 	"facsp/internal/cac"
-	"facsp/internal/des"
 	"facsp/internal/hexgrid"
-	"facsp/internal/hotness"
 	"facsp/internal/metrics"
 	"facsp/internal/mobility"
 	"facsp/internal/rng"
-	"facsp/internal/stats"
 	"facsp/internal/traffic"
 )
 
@@ -291,7 +291,7 @@ type Config struct {
 	// HoldingMean is the mean exponential call duration in seconds.
 	HoldingMean float64
 	// Rings is the cluster radius in cells around the tagged centre
-	// (1 -> 7 cells, 2 -> 19 cells). Ignored when Topology is set.
+	// (1 -> 7 cells, 2 -> 19 cells). Must be zero when Topology is set.
 	Rings int
 	// Topology, when non-nil, replaces the Rings disk with an arbitrary
 	// compiled cell set — multiple clusters, irregular shapes, dead zones
@@ -331,16 +331,11 @@ type Config struct {
 	// handoffs) by class, indexed by topology slot — the same series the
 	// admission daemon (internal/bsd) exports, so long sweeps can be
 	// scraped like a live cell bank. The registry must cover at least as
-	// many cells as the topology has slots; bumps are single atomic adds,
-	// so the event loop stays allocation-free. Only the single-heap Run
-	// engine exports; RunSharded rejects a config that sets it.
+	// many cells as the topology has slots. Bumps are single atomic adds,
+	// so the event loop stays allocation-free and both engines export:
+	// RunSharded's groups bump their own cells' counters in parallel. Every
+	// attempt is counted, whether or not the Result counts its call.
 	Metrics *metrics.Registry
-	// Hotness, when non-nil, records every admission attempt (new call or
-	// handoff) at its cell slot on the simulation-time axis, feeding the
-	// same exponential-decay demand signal the daemon tracks. Must cover
-	// at least the topology's slots. Like Metrics, only Run exports it;
-	// RunSharded rejects a config that sets it.
-	Hotness *hotness.Tracker
 	// Seed drives all randomness of the run.
 	Seed uint64
 }
@@ -381,6 +376,9 @@ func (c Config) Validate() error {
 	}
 	if c.Rings < 0 {
 		return fmt.Errorf("cellsim: negative ring count %d", c.Rings)
+	}
+	if c.Rings > 0 && c.Topology != nil {
+		return fmt.Errorf("cellsim: Rings %d and Topology are mutually exclusive", c.Rings)
 	}
 	if c.CellRadius <= 0 {
 		return fmt.Errorf("cellsim: cell radius %v must be positive", c.CellRadius)
@@ -505,45 +503,12 @@ func (r Result) BandwidthRatio() float64 {
 	return r.BandwidthGranted / r.BandwidthRequested
 }
 
-// call is the simulator's per-connection state. Calls live by value in a
-// pre-sized per-run slab; events reference them by pointer, which stays
-// valid because the slab never grows past its pre-sized capacity.
-type call struct {
-	req     cac.Request
-	class   traffic.Class
-	mover   mobility.Mover
-	cell    hexgrid.Coord
-	counted bool // originated at the centre cell: tracked in Result
-	endAt   float64
-	ended   bool
-	endEvt  des.Handle
-	// steps is how many CheckInterval advances the pending position check
-	// performs (nextCheck).
-	steps int
-	// alloc is the bandwidth currently granted, which adaptive schemes may
-	// move below req.Bandwidth mid-call; lastT is the simulation time the
-	// bandwidth integrals were last accrued to.
-	alloc float64
-	lastT float64
-	// Sharded-engine fields (sharded.go; unused by the single-heap path):
-	// grp is the owning cell group, and granted/requested accumulate the
-	// call's bandwidth integrals call-locally so parallel groups never
-	// write a shared sum.
-	grp       int32
-	granted   float64
-	requested float64
-	// moverSrc is the call's private mobility stream, reseeded per call
-	// from the arrival's pre-drawn split seed.
-	moverSrc rng.Source
-}
-
 // Sim runs cellular admission simulations.
 type Sim struct {
 	cfg    Config
 	adm    Admitter
 	layout hexgrid.Layout
 	topo   *hexgrid.Topology // compiled dense network topology
-	cells  []hexgrid.Coord   // network cells in stable (slot) order
 	centre hexgrid.Coord
 }
 
@@ -570,10 +535,6 @@ func New(cfg Config, adm Admitter) (*Sim, error) {
 		return nil, fmt.Errorf("cellsim: metrics registry covers %d cells, topology has %d slots",
 			cfg.Metrics.Cells(), topo.Slots())
 	}
-	if cfg.Hotness != nil && cfg.Hotness.Cells() < topo.Slots() {
-		return nil, fmt.Errorf("cellsim: hotness tracker covers %d cells, topology has %d slots",
-			cfg.Hotness.Cells(), topo.Slots())
-	}
 	if tc, ok := adm.(TopologyCompiler); ok {
 		tc.CompileTopology(topo)
 	}
@@ -582,298 +543,17 @@ func New(cfg Config, adm Admitter) (*Sim, error) {
 		adm:    adm,
 		layout: hexgrid.NewLayout(cfg.CellRadius),
 		topo:   topo,
-		cells:  topo.Coords(),
 		centre: topo.At(0),
 	}, nil
 }
 
-// Typed event op codes (des.Op.Code). Args are pointers into the run's
-// arrival/call slabs, so scheduling an event never allocates.
-const (
-	opArrival = iota // Arg: *arrival
-	opEnd            // Arg: *call
-	opCheck          // Arg: *call
-)
-
-// runState is the per-run mutable state: the event queue, the RNG stream,
-// the arrival and call slabs, and the accumulating counters. States are
-// recycled through runPool across replications, so a long sweep reuses
-// the same arenas instead of re-allocating them every run.
-type runState struct {
-	s        *Sim
-	sim      des.Sim
-	src      rng.Source
-	res      Result
-	util     stats.TimeWeighted
-	centreBU float64
-	firstErr error
-
-	arrivals []arrival
-	calls    []call
-	// active maps connection ID -> live call for the adaptive observer;
-	// IDs are dense (1..totalRequests), so a slice replaces the map. Nil
-	// when the admitter cannot reallocate; activeBuf retains the backing
-	// array across pooled runs.
-	active    []*call
-	activeBuf []*call
-
-	// Per-class counters for the centre cell, indexed by traffic.Class.
-	acceptedByClass [numClassSlots]int
-	requestsByClass [numClassSlots]int
-}
-
-// numClassSlots sizes the per-class counter arrays; traffic classes are
-// small consecutive integers starting at 1.
-const numClassSlots = int(traffic.Video) + 1
-
-var runPool = sync.Pool{New: func() any { return new(runState) }}
-
 // Run executes one complete simulation and returns its accounting.
 func (s *Sim) Run() (Result, error) {
-	rs := runPool.Get().(*runState)
-	res, err := rs.run(s)
-	rs.release()
-	runPool.Put(rs)
+	e := runPool.Get().(*engine)
+	res, err := e.run(s, singleHeap, 1, 1)
+	e.release()
+	runPool.Put(e)
 	return res, err
-}
-
-// release drops references held by the run so pooled states do not pin
-// controllers, movers or the enclosing Sim.
-func (rs *runState) release() {
-	rs.s = nil
-	clear(rs.arrivals)
-	clear(rs.calls)
-	clear(rs.activeBuf)
-	rs.active = nil
-	rs.res = Result{}
-}
-
-// fail records the run's first error.
-func (rs *runState) fail(err error) {
-	if rs.firstErr == nil {
-		rs.firstErr = err
-	}
-}
-
-// observe samples the centre-cell occupancy into the utilization integral.
-func (rs *runState) observe(now float64) {
-	if err := rs.util.Observe(now, rs.centreBU); err != nil {
-		rs.fail(err)
-	}
-}
-
-// RunOp implements des.Handler, dispatching the simulator's typed events.
-func (rs *runState) RunOp(now float64, op des.Op) {
-	switch op.Code {
-	case opArrival:
-		rs.arrive(op.Arg.(*arrival), now)
-	case opEnd:
-		rs.endCall(op.Arg.(*call), now)
-	case opCheck:
-		rs.checkPosition(op.Arg.(*call), now)
-	}
-}
-
-// grow returns buf with length n, reusing its capacity when possible.
-func grow[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
-
-// run executes one simulation on a (possibly recycled) runState.
-func (rs *runState) run(s *Sim) (Result, error) {
-	rs.s = s
-	rs.sim.Reset()
-	rs.sim.SetHandler(rs)
-	rs.src.Reseed(s.cfg.Seed)
-	rs.res = Result{}
-	rs.util = stats.TimeWeighted{}
-	rs.centreBU = 0
-	rs.firstErr = nil
-	rs.acceptedByClass = [numClassSlots]int{}
-	rs.requestsByClass = [numClassSlots]int{}
-	rs.observe(0) // open the utilization window at time zero
-
-	// Schedule each cell's request stream in stable order (centre first in
-	// the homogeneous set-up, PerCell order otherwise). Drawing all request
-	// attributes up front keeps a cell's request stream identical across
-	// admitters; every draw — including burst envelopes and thinning
-	// rejections — comes sequentially from the run source, so runs are a
-	// pure function of the Config seed.
-	streams := s.streams()
-	total := 0
-	for _, st := range streams {
-		total += st.n
-		if st.counted {
-			rs.res.Requests += st.n
-		}
-	}
-	rs.arrivals = grow(rs.arrivals, total)[:0]
-	rs.calls = grow(rs.calls, total)[:0]
-
-	// Adaptive admitters reallocate on-going calls mid-flight; track those
-	// changes so the bandwidth-ratio metric and the centre occupancy stay
-	// exact. The observer fires synchronously from inside Admit/Release,
-	// so sim.Now() is the event's timestamp. Tracking is only armed when
-	// the controllers can actually reallocate — PerCell implements
-	// AdaptiveAdmitter for every scheme, so probe the centre cell's
-	// controller (factories are homogeneous across the cluster) to spare
-	// non-adaptive sweeps the per-call bookkeeping.
-	rs.active = nil
-	if aa, ok := s.adm.(AdaptiveAdmitter); ok && s.reallocates() {
-		rs.activeBuf = grow(rs.activeBuf, total+1)
-		rs.active = rs.activeBuf
-		aa.SetBandwidthObserver(func(cell hexgrid.Coord, id uint64, allocBU float64) {
-			if id >= uint64(len(rs.active)) {
-				return
-			}
-			c := rs.active[id]
-			if c == nil || c.ended {
-				return
-			}
-			now := rs.sim.Now()
-			rs.accrue(c, now)
-			if cell == s.centre {
-				rs.centreBU += allocBU - c.alloc
-				rs.observe(now)
-			}
-			c.alloc = allocBU
-		})
-	}
-
-	nextID := uint64(1)
-	for _, st := range streams {
-		var env traffic.Envelope
-		if st.burst != nil {
-			env = st.burst.Envelope(&rs.src, s.cfg.Window)
-		}
-		for i := 0; i < st.n; i++ {
-			at, err := sampleArrival(&rs.src, s.cfg.Window, st.profile, env)
-			if err != nil {
-				return Result{}, err
-			}
-			class := st.mix.Sample(&rs.src)
-			speed := st.speed(&rs.src)
-			angle := st.angle(&rs.src)
-			holding := rs.src.Exp(s.cfg.HoldingMean)
-			id := nextID
-			nextID++
-			if st.counted {
-				rs.requestsByClass[class]++
-			}
-
-			// Spawn uniformly inside the cell's hexagon by rejection from
-			// the bounding box.
-			x, y := s.randomPointInCell(&rs.src, st.cell)
-			moverSeed := rs.src.SplitSeed()
-
-			rs.arrivals = append(rs.arrivals, arrival{
-				id: id, class: class, speed: speed, angle: angle,
-				holding: holding, x: x, y: y, moverSeed: moverSeed,
-				cell: st.cell, counted: st.counted,
-			})
-			a := &rs.arrivals[len(rs.arrivals)-1]
-			if _, err := rs.sim.AtOp(at, des.Op{Code: opArrival, Arg: a}); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	rs.sim.Run(0)
-	if rs.firstErr != nil {
-		return Result{}, rs.firstErr
-	}
-	rs.observe(rs.sim.Now()) // flush the final occupancy segment
-	rs.res.CentreUtilization = rs.util.Mean()
-
-	// Publish the per-class counters as the Result's maps. Only classes
-	// that were actually seen get an entry, matching incremental map
-	// accumulation.
-	rs.res.AcceptedByClass = make(map[traffic.Class]int)
-	rs.res.RequestsByClass = make(map[traffic.Class]int)
-	for _, cl := range traffic.Classes() {
-		if n := rs.acceptedByClass[cl]; n > 0 {
-			rs.res.AcceptedByClass[cl] = n
-		}
-		if n := rs.requestsByClass[cl]; n > 0 {
-			rs.res.RequestsByClass[cl] = n
-		}
-	}
-	return rs.res, nil
-}
-
-// arrival is one pre-drawn connection request, stored by value in the
-// run's arrival slab.
-type arrival struct {
-	id        uint64
-	class     traffic.Class
-	speed     float64
-	angle     float64
-	holding   float64
-	x, y      float64
-	moverSeed uint64
-	cell      hexgrid.Coord
-	counted   bool
-}
-
-// stream is one fully resolved per-cell request source: a CellTraffic
-// entry with every inherited default filled in, or one cell's slice of the
-// homogeneous paper set-up.
-type stream struct {
-	cell    hexgrid.Coord
-	n       int
-	mix     traffic.Mix
-	profile traffic.RateProfile
-	burst   *traffic.MMPP
-	speed   Sampler
-	angle   Sampler
-	counted bool
-}
-
-// streams resolves the run's traffic description into per-cell sources in
-// stable scheduling order.
-func (s *Sim) streams() []stream {
-	if len(s.cfg.PerCell) == 0 {
-		out := make([]stream, 0, len(s.cells))
-		out = append(out, stream{
-			cell: s.centre, n: s.cfg.Requests, mix: s.cfg.Mix,
-			speed: s.cfg.Speed, angle: s.cfg.Angle, counted: true,
-		})
-		for _, cell := range s.cells {
-			if cell == s.centre {
-				continue
-			}
-			out = append(out, stream{
-				cell: cell, n: s.cfg.NeighborRequests, mix: s.cfg.Mix,
-				speed: s.cfg.Speed, angle: s.cfg.Angle,
-			})
-		}
-		return out
-	}
-	out := make([]stream, 0, len(s.cfg.PerCell))
-	for _, ct := range s.cfg.PerCell {
-		st := stream{
-			cell: ct.Cell, n: ct.Requests, mix: s.cfg.Mix,
-			profile: ct.Profile, burst: ct.Burst,
-			speed: s.cfg.Speed, angle: s.cfg.Angle,
-			counted: ct.Cell == s.centre,
-		}
-		if ct.Mix != nil {
-			st.mix = *ct.Mix
-		}
-		if ct.Speed != nil {
-			st.speed = ct.Speed
-		}
-		if ct.Angle != nil {
-			st.angle = ct.Angle
-		}
-		out = append(out, st)
-	}
-	return out
 }
 
 // maxThinningTries bounds the rejection loop of arrival-time thinning; at
@@ -908,261 +588,4 @@ func sampleArrival(src *rng.Source, window float64, profile traffic.RateProfile,
 		}
 	}
 	return 0, fmt.Errorf("cellsim: arrival-time thinning stalled after %d draws (profile/burst intensity ~zero across the window)", maxThinningTries)
-}
-
-// arrive processes a new-call request at its cell.
-func (rs *runState) arrive(a *arrival, now float64) {
-	s := rs.s
-	bsX, bsY := s.layout.Center(a.cell)
-	heading := hexgrid.NormalizeAngle(hexgrid.BearingDeg(a.x, a.y, bsX, bsY) + a.angle)
-
-	req := cac.Request{
-		ID:        a.id,
-		X:         a.x,
-		Y:         a.y,
-		Speed:     a.speed,
-		Angle:     a.angle,
-		Bandwidth: a.class.Bandwidth(),
-		RealTime:  a.class.RealTime(),
-	}
-	rs.res.NetworkRequests++
-	d := s.adm.Admit(a.cell, req)
-	rs.exportDecision(a.cell, a.class, d.Accept, false, now)
-	if !d.Accept {
-		if a.counted {
-			rs.res.Blocked++
-		}
-		return
-	}
-	rs.res.NetworkAccepted++
-	if a.counted {
-		rs.res.Accepted++
-		rs.acceptedByClass[a.class]++
-	}
-
-	// The call slab was pre-sized to the total request count, so the
-	// append never reallocates and event pointers into it stay valid.
-	rs.calls = append(rs.calls, call{
-		req:     req,
-		class:   a.class,
-		cell:    a.cell,
-		counted: a.counted,
-		endAt:   now + a.holding,
-		alloc:   d.Granted(req), // adaptive schemes may grant below the request
-		lastT:   now,
-	})
-	c := &rs.calls[len(rs.calls)-1]
-	c.moverSrc.Reseed(a.moverSeed)
-	c.mover = s.cfg.Mobility.NewMover(mobility.State{
-		X: a.x, Y: a.y, SpeedKmh: a.speed, HeadingDeg: heading,
-	}, &c.moverSrc)
-	if rs.active != nil {
-		rs.active[a.id] = c
-	}
-	if a.cell == s.centre {
-		rs.centreBU += c.alloc
-		rs.observe(now)
-	}
-
-	endEvt, err := rs.sim.AtOp(c.endAt, des.Op{Code: opEnd, Arg: c})
-	if err != nil {
-		rs.fail(err)
-		return
-	}
-	c.endEvt = endEvt
-	if !s.cfg.Static {
-		rs.scheduleCheck(c, now)
-	}
-}
-
-// exportDecision bumps the optional metrics and hotness sinks for one
-// admission outcome: accepts count as admits, denied new calls as blocks,
-// denied handoffs as drops, and every attempt feeds the hotness signal on
-// the simulation-time axis. With no sinks configured this is a two-nil
-// check, keeping the default event loop allocation- and branch-cheap.
-func (rs *runState) exportDecision(at hexgrid.Coord, class traffic.Class, accept, handoff bool, now float64) {
-	s := rs.s
-	if s.cfg.Metrics == nil && s.cfg.Hotness == nil {
-		return
-	}
-	slot, ok := s.topo.Of(at)
-	if !ok {
-		return
-	}
-	if s.cfg.Hotness != nil {
-		s.cfg.Hotness.Record(slot, now)
-	}
-	if reg := s.cfg.Metrics; reg != nil {
-		switch {
-		case accept:
-			reg.Inc(slot, metrics.Admits(class))
-		case handoff:
-			reg.Inc(slot, metrics.Drops(class))
-		default:
-			reg.Inc(slot, metrics.Blocks(class))
-		}
-	}
-}
-
-// scheduleCheck arms the next handoff-detection check for an active call,
-// at the end of its safe horizon (nextCheck).
-func (rs *runState) scheduleCheck(c *call, now float64) {
-	at, steps := nextCheck(rs.s.layout, c, rs.s.cfg.CheckInterval, now)
-	c.steps = steps
-	if _, err := rs.sim.AtOp(at, des.Op{Code: opCheck, Arg: c}); err != nil {
-		rs.fail(err)
-	}
-}
-
-// checkPosition advances the mobile and performs a handoff if it crossed a
-// cell boundary.
-func (rs *runState) checkPosition(c *call, now float64) {
-	if c.ended {
-		return
-	}
-	s := rs.s
-	c.advance(s.cfg.CheckInterval)
-	st := c.mover.State()
-	// Fast path: still inside the serving cell's inscribed circle — no
-	// boundary crossing possible, so skip the full cube-rounding lookup.
-	if s.layout.InCell(c.cell, st.X, st.Y) {
-		rs.scheduleCheck(c, now)
-		return
-	}
-	newCell := s.layout.CellAt(st.X, st.Y)
-	if newCell == c.cell {
-		rs.scheduleCheck(c, now)
-		return
-	}
-
-	if !s.topo.Contains(newCell) {
-		// The mobile left the simulated network; its capacity is freed.
-		rs.releaseCall(c, now)
-		rs.retire(c)
-		if c.counted {
-			rs.res.LeftNetwork++
-		}
-		return
-	}
-
-	// Handoff: the on-going call requests admission at the new cell.
-	if c.counted {
-		rs.res.HandoffAttempts++
-	}
-	bsX, bsY := s.layout.Center(newCell)
-	hreq := c.req
-	hreq.X, hreq.Y = st.X, st.Y
-	hreq.Speed = st.SpeedKmh
-	hreq.Angle = hexgrid.AngleOff(st.HeadingDeg, st.X, st.Y, bsX, bsY)
-	hreq.Handoff = true
-
-	d := s.adm.Admit(newCell, hreq)
-	rs.exportDecision(newCell, c.class, d.Accept, true, now)
-	if !d.Accept {
-		// Dropped mid-call: the QoS violation the paper's priority scheme
-		// is designed to avoid.
-		rs.releaseCall(c, now)
-		rs.retire(c)
-		if c.counted {
-			rs.res.Dropped++
-		}
-		return
-	}
-	rs.releaseCall(c, now)
-	if c.counted {
-		rs.res.HandoffAccepted++
-	}
-	c.cell = newCell
-	c.req = hreq
-	c.alloc = d.Granted(hreq) // the new cell may grant a degraded rate
-	if c.cell == s.centre {
-		rs.centreBU += c.alloc
-		rs.observe(now)
-	}
-	rs.scheduleCheck(c, now)
-}
-
-// reallocates reports whether the admitter's controllers can change
-// on-going allocations mid-call. Admitters exposing per-cell controllers
-// (PerCell) are probed at the centre cell — the factories in this
-// repository are homogeneous across the cluster; anything else is assumed
-// adaptive if it accepted the observer.
-func (s *Sim) reallocates() bool {
-	cp, ok := s.adm.(interface {
-		Controller(hexgrid.Coord) cac.Controller
-	})
-	if !ok {
-		return true
-	}
-	_, adaptive := cp.Controller(s.centre).(cac.Adaptive)
-	return adaptive
-}
-
-// retire removes a finished call from the simulation: it stops tracking
-// reallocations for it and cancels its pending end event.
-func (rs *runState) retire(c *call) {
-	c.ended = true
-	if rs.active != nil {
-		rs.active[c.req.ID] = nil
-	}
-	rs.sim.Cancel(c.endEvt)
-}
-
-// endCall completes a call that finished its holding time. Cancelling the
-// already-fired end event inside retire is a safe no-op.
-func (rs *runState) endCall(c *call, now float64) {
-	if c.ended {
-		return
-	}
-	rs.retire(c)
-	rs.releaseCall(c, now)
-	if c.counted {
-		rs.res.Completed++
-	}
-}
-
-// releaseCall frees the call's bandwidth at its current cell, closing its
-// bandwidth-integral accounting up to now.
-func (rs *runState) releaseCall(c *call, now float64) {
-	rs.accrue(c, now)
-	if err := rs.s.adm.Release(c.cell, c.req); err != nil {
-		rs.fail(fmt.Errorf("cellsim: release at %v: %w", c.cell, err))
-		return
-	}
-	if c.cell == rs.s.centre {
-		rs.centreBU -= c.alloc
-		rs.observe(now)
-	}
-}
-
-// accrue extends the result's received/requested bandwidth integrals for
-// a counted call up to now at its current allocation.
-func (rs *runState) accrue(c *call, now float64) {
-	if c.counted && now > c.lastT {
-		rs.res.BandwidthGranted += c.alloc * (now - c.lastT)
-		rs.res.BandwidthRequested += c.req.Bandwidth * (now - c.lastT)
-	}
-	c.lastT = now
-}
-
-// randomPointInCell draws a uniform point inside the hexagon of the given
-// cell by rejection sampling from its tight bounding box: a pointy-top
-// hexagon spans exactly [-inradius, inradius] in x and
-// [-circumradius, circumradius] in y around its centre, so every point of
-// the cell is reachable and the acceptance probability is the fixed
-// area ratio (3√3/4)·r·w / (4·r·w) ≈ 0.65. Both half-extents come from
-// s.layout — the same geometry the InCell inradius fast path and CellAt
-// use — so the sampler cannot drift from the lookup even if cell size
-// ever becomes per-topology.
-func (s *Sim) randomPointInCell(src *rng.Source, cell hexgrid.Coord) (x, y float64) {
-	cx, cy := s.layout.Center(cell)
-	w := s.layout.Inradius()
-	r := s.layout.Size
-	for {
-		px := src.Uniform(-w, w)
-		py := src.Uniform(-r, r)
-		if s.layout.CellAt(cx+px, cy+py) == cell {
-			return cx + px, cy + py
-		}
-	}
 }

@@ -73,6 +73,7 @@ func TestConfigValidate(t *testing.T) {
 		{name: "nil speed", mut: func(c *Config) { c.Speed = nil }},
 		{name: "nil angle", mut: func(c *Config) { c.Angle = nil }},
 		{name: "zero check interval", mut: func(c *Config) { c.CheckInterval = 0 }},
+		{name: "rings with topology", mut: func(c *Config) { c.Topology = hexgrid.DiskTopology(hexgrid.Coord{}, 2) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

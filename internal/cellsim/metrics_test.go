@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"facsp/internal/hexgrid"
-	"facsp/internal/hotness"
 	"facsp/internal/metrics"
 	"facsp/internal/traffic"
 )
@@ -79,15 +78,10 @@ func TestMetricsSinkStaticIdentity(t *testing.T) {
 
 // TestMetricsSinkCountsEveryAdmitCall checks, on the mobile engine, that
 // the counter plane sees exactly the admission attempts the admitter saw:
-// total bumps == Admit calls, and the hotness tracker saw the same events.
+// total bumps == Admit calls.
 func TestMetricsSinkCountsEveryAdmitCall(t *testing.T) {
 	cfg := DefaultConfig(100, 11)
 	cfg.Metrics = sinkRegistry(t, cfg)
-	hot, err := hotness.New(cfg.Metrics.Cells(), 1e12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Hotness = hot
 
 	adm := newOpenAdmitter()
 	s, err := New(cfg, adm)
@@ -104,16 +98,6 @@ func TestMetricsSinkCountsEveryAdmitCall(t *testing.T) {
 	}
 	if int(admits) < res.NetworkAccepted {
 		t.Errorf("admits = %d < NetworkAccepted %d", admits, res.NetworkAccepted)
-	}
-
-	// With a half-life vastly longer than the horizon the decay is ~0, so
-	// the summed tracker values recover the event count.
-	var events float64
-	for i := 0; i < hot.Cells(); i++ {
-		events += hot.Value(i, cfg.Window)
-	}
-	if got, want := int(events+0.5), adm.admits; got != want {
-		t.Errorf("hotness recorded ~%v events, want %d", events, want)
 	}
 }
 
@@ -159,11 +143,6 @@ func TestMetricsSinkDoesNotChangeRun(t *testing.T) {
 		cfg := DefaultConfig(150, 7)
 		if instrument {
 			cfg.Metrics = sinkRegistry(t, cfg)
-			hot, err := hotness.New(cfg.Metrics.Cells(), 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Hotness = hot
 		}
 		s, err := New(cfg, facsAdmitter(t))
 		if err != nil {
@@ -189,14 +168,5 @@ func TestMetricsSinkValidation(t *testing.T) {
 	cfg.Metrics = small
 	if _, err := New(cfg, newOpenAdmitter()); err == nil {
 		t.Error("undersized metrics registry accepted")
-	}
-	cfg.Metrics = nil
-	hot, err := hotness.New(3, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Hotness = hot
-	if _, err := New(cfg, newOpenAdmitter()); err == nil {
-		t.Error("undersized hotness tracker accepted")
 	}
 }

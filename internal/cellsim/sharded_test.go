@@ -2,13 +2,13 @@ package cellsim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"facsp/internal/baseline"
 	"facsp/internal/cac"
 	"facsp/internal/hexgrid"
-	"facsp/internal/hotness"
+	"facsp/internal/metrics"
+	"facsp/internal/traffic"
 )
 
 // cityConfig is a ~1000-cell homogeneous set-up sized so that the
@@ -20,6 +20,7 @@ func cityConfig(seed uint64) Config {
 	cfg.NeighborRequests = 2
 	cfg.Window = 120
 	cfg.HoldingMean = 90
+	cfg.Rings = 0
 	cfg.Topology = hexgrid.DiskTopology(hexgrid.Coord{}, 18) // 1027 cells
 	return cfg
 }
@@ -163,32 +164,64 @@ func TestRunShardedRejectsNetworkLevelAdmitter(t *testing.T) {
 	}
 }
 
-// TestRunShardedRejectsSinks pins strict configuration: the sharded
-// engine exports neither per-cell metrics nor hotness, so a config asking
-// for them is an error naming the field instead of a silently empty sink.
-func TestRunShardedRejectsSinks(t *testing.T) {
-	base := DefaultConfig(5, 1)
-	reg := sinkRegistry(t, base)
-	hot, err := hotness.New(reg.Cells(), 60)
+// TestRunShardedMetricsSink checks the sharded engine's per-cell counter
+// export: groups bump their own cells' counters from parallel workers, so
+// the counter plane must be identical for every worker count, sum to the
+// Result's own accounting (a sharded Result counts every cell), and leave
+// the Result bit-identical to an uninstrumented run.
+func TestRunShardedMetricsSink(t *testing.T) {
+	cfg := cityConfig(17)
+	cfg.Topology = hexgrid.DiskTopology(hexgrid.Coord{}, 5) // 91 cells
+	cfg.Requests = 10
+	cfg.NeighborRequests = 10
+	opts := ShardOptions{Groups: 8}
+
+	plain, err := RunSharded(cfg, tightGuardAdmitter(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"Config.Metrics", func(c *Config) { c.Metrics = reg }},
-		{"Config.Hotness", func(c *Config) { c.Hotness = hot }},
-	} {
-		cfg := base
-		tc.set(&cfg)
-		_, err := RunSharded(cfg, tightGuardAdmitter(t), ShardOptions{Groups: 2, Workers: 1})
-		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("RunSharded with %s set: err = %v, want an error naming the field", tc.field, err)
-		}
+	if plain.Blocked == 0 || plain.Dropped == 0 || plain.HandoffAccepted == 0 {
+		t.Fatalf("run exercises too little: blocked=%d dropped=%d handoffs=%d",
+			plain.Blocked, plain.Dropped, plain.HandoffAccepted)
 	}
-	if _, err := RunSharded(base, tightGuardAdmitter(t), ShardOptions{Groups: 2, Workers: 1}); err != nil {
-		t.Errorf("RunSharded without sinks: %v", err)
+	var first *metrics.Snapshot
+	for i, workers := range []int{1, 2, 4} {
+		reg, err := metrics.New(cfg.Topology.Slots())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tapped := cfg
+		tapped.Metrics = reg
+		opts.Workers = workers
+		res, err := RunSharded(tapped, tightGuardAdmitter(t), opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if d := resultDiff(plain, res); d != "" {
+			t.Errorf("workers=%d: metrics tap changed the run: %s", workers, d)
+		}
+		admits, blocks, drops := counterTotals(reg)
+		if want := res.Accepted + res.HandoffAccepted; int(admits) != want {
+			t.Errorf("workers=%d: admits = %d, want Accepted+HandoffAccepted %d", workers, admits, want)
+		}
+		if int(blocks) != res.Blocked || int(drops) != res.Dropped {
+			t.Errorf("workers=%d: blocks/drops = %d/%d, want %d/%d", workers, blocks, drops, res.Blocked, res.Dropped)
+		}
+		snap := reg.Snapshot(nil)
+		if i == 0 {
+			first = snap
+			continue
+		}
+		for cell := 0; cell < reg.Cells(); cell++ {
+			for _, cl := range traffic.Classes() {
+				for _, c := range []metrics.Counter{metrics.Admits(cl), metrics.Blocks(cl), metrics.Drops(cl)} {
+					if snap.Counter(cell, c) != first.Counter(cell, c) {
+						t.Fatalf("workers=%d: cell %d counter %d = %d, 1 worker had %d",
+							workers, cell, c, snap.Counter(cell, c), first.Counter(cell, c))
+					}
+				}
+			}
+		}
 	}
 }
 

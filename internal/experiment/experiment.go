@@ -26,7 +26,6 @@ import (
 	"facsp/internal/core"
 	"facsp/internal/fuzzy"
 	"facsp/internal/hexgrid"
-	"facsp/internal/hotness"
 	"facsp/internal/learned"
 	"facsp/internal/metrics"
 	"facsp/internal/optimal"
@@ -61,11 +60,6 @@ type Options struct {
 	// largest topology the ConfigFunc produces. Counter totals are
 	// deterministic across worker counts; only interleaving varies.
 	Metrics *metrics.Registry
-	// Hotness, when non-nil, is injected likewise (see
-	// cellsim.Config.Hotness). Shards share one simulation-time axis, so
-	// the decayed value is only meaningful for equal-horizon shards; the
-	// ranking of per-cell demand still is either way.
-	Hotness *hotness.Tracker
 }
 
 // DefaultLoads is the x axis used for the figures: dense enough around the
@@ -324,9 +318,6 @@ func RunCurve(name string, cfg ConfigFunc, factory AdmitterFactory, metric Metri
 		c := cfg(sh.Load, sh.Seed)
 		if o.Metrics != nil {
 			c.Metrics = o.Metrics
-		}
-		if o.Hotness != nil {
-			c.Hotness = o.Hotness
 		}
 		sim, err := cellsim.New(c, factory())
 		if err != nil {

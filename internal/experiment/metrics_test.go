@@ -4,23 +4,18 @@ import (
 	"testing"
 
 	"facsp/internal/hexgrid"
-	"facsp/internal/hotness"
 	"facsp/internal/metrics"
 	"facsp/internal/traffic"
 )
 
-// TestRunCurveMetricsSink checks Options.Metrics/Hotness are forwarded
+// TestRunCurveMetricsSink checks Options.Metrics is forwarded
 // into every shard: a sweep accumulates all shards' admission outcomes in
 // the one shared registry, with deterministic totals across worker counts.
 func TestRunCurveMetricsSink(t *testing.T) {
 	topo := hexgrid.DiskTopology(hexgrid.Coord{}, 1)
 
-	sweep := func(workers int) (*metrics.Registry, *hotness.Tracker) {
+	sweep := func(workers int) *metrics.Registry {
 		reg, err := metrics.New(topo.Slots())
-		if err != nil {
-			t.Fatal(err)
-		}
-		hot, err := hotness.New(topo.Slots(), 1e12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,15 +24,14 @@ func TestRunCurveMetricsSink(t *testing.T) {
 			Replications: 2,
 			Workers:      workers,
 			Metrics:      reg,
-			Hotness:      hot,
 		}
 		if _, err := RunCurve("sink", singleCellConfig, FACSFactory(), AcceptedPct, opts); err != nil {
 			t.Fatal(err)
 		}
-		return reg, hot
+		return reg
 	}
 
-	reg, hot := sweep(1)
+	reg := sweep(1)
 	var total uint64
 	for cell := 0; cell < reg.Cells(); cell++ {
 		for _, cl := range traffic.Classes() {
@@ -51,17 +45,10 @@ func TestRunCurveMetricsSink(t *testing.T) {
 	if want := uint64(2 * (10 + 20)); total < want {
 		t.Errorf("sweep recorded %d outcomes, want >= %d offered calls", total, want)
 	}
-	var recorded float64
-	for i := 0; i < hot.Cells(); i++ {
-		recorded += hot.Value(i, 1e9)
-	}
-	if recorded <= 0 {
-		t.Error("hotness tracker saw no events from the sweep")
-	}
 
 	// Counter totals are bit-identical for any worker count — bumps are
 	// atomic adds, and the shard set is the same.
-	reg4, _ := sweep(4)
+	reg4 := sweep(4)
 	snapA, snapB := reg.Snapshot(nil), reg4.Snapshot(nil)
 	for cell := 0; cell < reg.Cells(); cell++ {
 		for c := metrics.Counter(0); c < metrics.CtrShed; c++ {
