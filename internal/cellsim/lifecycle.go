@@ -295,50 +295,47 @@ func (e *engine) err() error {
 }
 
 // streams resolves the run's traffic description into per-cell sources:
-// slot order for the homogeneous set-up, PerCell order otherwise, and
-// slot order always under policy.substreams, which numbers calls in that
-// order.
+// PerCell in its order, or the paper's homogeneous set-up spelled out per
+// cell in slot order (Requests at the tagged centre, NeighborRequests
+// everywhere else). Under policy.substreams the sources are put in slot
+// order, which numbers calls in that order.
 func (e *engine) streams() []stream {
 	cfg := e.cfg
-	var out []stream
-	if len(cfg.PerCell) == 0 {
-		out = make([]stream, e.topo.Slots())
-		for slot := range out {
-			n := cfg.NeighborRequests
-			if slot == 0 {
-				n = cfg.Requests // the tagged centre
-			}
-			out[slot] = stream{
-				cell: e.topo.At(slot), slot: slot, n: n, mix: cfg.Mix,
-				speed: cfg.Speed, angle: cfg.Angle,
-			}
-		}
-	} else {
-		out = make([]stream, len(cfg.PerCell))
-		for i, ct := range cfg.PerCell {
-			slot, _ := e.topo.Of(ct.Cell) // Validate keeps PerCell cells inside
-			st := stream{
-				cell: ct.Cell, slot: slot, n: ct.Requests, mix: cfg.Mix,
-				profile: ct.Profile, burst: ct.Burst,
-				speed: cfg.Speed, angle: cfg.Angle,
-			}
-			if ct.Mix != nil {
-				st.mix = *ct.Mix
-			}
-			if ct.Speed != nil {
-				st.speed = ct.Speed
-			}
-			if ct.Angle != nil {
-				st.angle = ct.Angle
-			}
-			out[i] = st
-		}
-		if e.pol.substreams {
-			slices.SortFunc(out, func(a, b stream) int { return a.slot - b.slot })
-		}
+	n := len(cfg.PerCell)
+	if n == 0 {
+		n = e.topo.Slots()
 	}
+	out := make([]stream, n)
 	for i := range out {
-		out[i].counted = e.pol.countAll || out[i].slot == 0
+		var ct CellTraffic
+		switch {
+		case len(cfg.PerCell) > 0:
+			ct = cfg.PerCell[i]
+		case i == 0:
+			ct = CellTraffic{Cell: e.centre, Requests: cfg.Requests}
+		default:
+			ct = CellTraffic{Cell: e.topo.At(i), Requests: cfg.NeighborRequests}
+		}
+		slot, _ := e.topo.Of(ct.Cell) // Validate keeps PerCell cells inside
+		st := stream{
+			cell: ct.Cell, slot: slot, n: ct.Requests, mix: cfg.Mix,
+			profile: ct.Profile, burst: ct.Burst,
+			speed: cfg.Speed, angle: cfg.Angle,
+			counted: e.pol.countAll || slot == 0,
+		}
+		if ct.Mix != nil {
+			st.mix = *ct.Mix
+		}
+		if ct.Speed != nil {
+			st.speed = ct.Speed
+		}
+		if ct.Angle != nil {
+			st.angle = ct.Angle
+		}
+		out[i] = st
+	}
+	if e.pol.substreams {
+		slices.SortFunc(out, func(a, b stream) int { return a.slot - b.slot })
 	}
 	return out
 }

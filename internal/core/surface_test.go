@@ -247,23 +247,32 @@ func TestSurfaceResolutionValidation(t *testing.T) {
 }
 
 // surfaceScoreTol documents the end-to-end FACS-P score tolerance of each
-// surface resolution versus exact inference (measured over the dense
-// lattice below, stated with headroom; the ARMin..ARMax score axis spans
-// 2.0). Resolution 33's bound is the 2*flc1Tolerance+flc2Tolerance
-// composite of TestSurfaceControllerDecisionsTrackExact.
+// surface resolution versus exact inference (the worst error measured over
+// the lattice and the off-lattice points below, stated with headroom; the
+// ARMin..ARMax score axis spans 2.0). Resolution 33's bound is the
+// 2*flc1Tolerance+flc2Tolerance composite of
+// TestSurfaceControllerDecisionsTrackExact.
 var surfaceScoreTol = map[int]float64{
-	9:  0.30,                            // measured 0.143
-	17: 0.25,                            // measured 0.120
-	33: 2*flc1Tolerance + flc2Tolerance, // the documented default-resolution composite
-	65: 0.05,                            // measured 0.006
+	9:  0.30,                            // measured 0.143 lattice, 0.159 off-lattice
+	17: 0.25,                            // measured 0.119 lattice, 0.132 off-lattice
+	33: 2*flc1Tolerance + flc2Tolerance, // measured 0.008 lattice, 0.067 off-lattice
+	65: 0.05,                            // measured 0.005 lattice, 0.034 off-lattice
 	0:  0,                               // exact inference: identical by construction
 }
 
-// TestSurfaceResolutionMatchesExact drives a dense input lattice through a
-// FACS-P at each PConfig.SurfaceResolution and through exact inference,
-// asserting the accuracy contract: scores within the resolution's
-// documented tolerance, and identical decisions whenever the exact score is
-// not within tolerance of the threshold.
+// offLatticePoints is how many seeded uniform requests
+// TestSurfaceResolutionMatchesExact draws per resolution.
+const offLatticePoints = 50000
+
+// TestSurfaceResolutionMatchesExact drives a dense input lattice and
+// seeded uniform off-lattice points through a FACS-P at each
+// PConfig.SurfaceResolution and through exact inference, asserting the
+// accuracy contract: scores within the resolution's documented tolerance,
+// and identical decisions whenever the exact score is not within tolerance
+// of the threshold. The lattice steps land mostly where a surface is exact
+// (its own grid points); the off-lattice points draw speed, angle, class,
+// occupancy and its real-time/non-real-time split uniformly, which is
+// where the interpolation error is.
 func TestSurfaceResolutionMatchesExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense lattice")
@@ -280,42 +289,62 @@ func TestSurfaceResolutionMatchesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		tol := surfaceScoreTol[res]
-		worst, disagreements := 0.0, 0
+		disagreements := 0
+		// check compares one request at the given counters and returns the
+		// score error.
+		check := func(req cac.Request, rtc, nrtc float64) float64 {
+			de, err := exact.Evaluate(req, rtc, nrtc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dc, err := cached.Evaluate(req, rtc, nrtc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := math.Abs(de.Score - dc.Score)
+			if d > tol {
+				t.Fatalf("res %d at (%v,%v,%v,rtc %v,nrtc %v): score %v vs exact %v, error %v > %v",
+					res, req.Speed, req.Angle, req.Bandwidth, rtc, nrtc, dc.Score, de.Score, d, tol)
+			}
+			if de.Accept != dc.Accept {
+				disagreements++
+				if math.Abs(de.Score-de.Threshold) > tol {
+					t.Fatalf("res %d at (%v,%v,%v,rtc %v,nrtc %v): decision flipped with exact score %v a full %v from threshold %v",
+						res, req.Speed, req.Angle, req.Bandwidth, rtc, nrtc, de.Score, math.Abs(de.Score-de.Threshold), de.Threshold)
+				}
+			}
+			return d
+		}
+		worst := 0.0
 		for sp := 0.0; sp <= SpeedMax; sp += 7.5 {
 			for an := 0.0; an <= AngleMax; an += 11.25 {
 				for _, bw := range []float64{TextBU, VoiceBU, VideoBU} {
 					for _, occ := range []float64{0, 0.3, 0.6, 0.9} {
 						req := cac.Request{ID: 1, Speed: sp, Angle: an, Bandwidth: bw, RealTime: true}
-						rtc := occ * CounterMax
-						de, err := exact.Evaluate(req, rtc, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						dc, err := cached.Evaluate(req, rtc, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						d := math.Abs(de.Score - dc.Score)
-						worst = math.Max(worst, d)
-						if d > tol {
-							t.Fatalf("res %d at (%v,%v,%v,occ %v): score %v vs exact %v, error %v > %v",
-								res, sp, an, bw, occ, dc.Score, de.Score, d, tol)
-						}
-						if de.Accept != dc.Accept {
-							disagreements++
-							if math.Abs(de.Score-de.Threshold) > tol {
-								t.Fatalf("res %d at (%v,%v,%v,occ %v): decision flipped with exact score %v a full %v from threshold %v",
-									res, sp, an, bw, occ, de.Score, math.Abs(de.Score-de.Threshold), de.Threshold)
-							}
-						}
+						worst = math.Max(worst, check(req, occ*CounterMax, 0))
 					}
 				}
 			}
 		}
-		t.Logf("res %2d: max score error %.4f (tolerance %v), %d near-threshold decision flips",
-			res, worst, tol, disagreements)
-		if res == 0 && (worst != 0 || disagreements != 0) {
-			t.Errorf("exact inference deviated: worst %v, %d flips", worst, disagreements)
+		src := rng.New(1) // the same points at every resolution
+		worstOff := 0.0
+		for i := 0; i < offLatticePoints; i++ {
+			bw := []float64{TextBU, VoiceBU, VideoBU}[src.Intn(3)]
+			req := cac.Request{
+				ID:        1,
+				Speed:     src.Uniform(SpeedMin, SpeedMax),
+				Angle:     src.Uniform(AngleMin, AngleMax),
+				Bandwidth: bw,
+				RealTime:  bw != TextBU,
+			}
+			occ := src.Uniform(0, pc.Capacity)
+			rtc := occ * src.Float64()
+			worstOff = math.Max(worstOff, check(req, rtc, occ-rtc))
+		}
+		t.Logf("res %2d: max score error %.4f lattice, %.4f off-lattice (tolerance %v), %d near-threshold decision flips",
+			res, worst, worstOff, tol, disagreements)
+		if res == 0 && (worst != 0 || worstOff != 0 || disagreements != 0) {
+			t.Errorf("exact inference deviated: worst %v lattice, %v off-lattice, %d flips", worst, worstOff, disagreements)
 		}
 	}
 }
