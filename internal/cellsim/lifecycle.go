@@ -185,7 +185,6 @@ func (e *engine) release() {
 	clear(e.merge)
 	for _, g := range e.groups {
 		clear(g.migrations)
-		g.res = Result{}
 	}
 }
 
