@@ -272,7 +272,8 @@ func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 // scripts/ci-smoke-asserts.sh (not re-inlined one-liners), the script
 // must exist, be executable and implement every subcommand the workflow
 // invokes, and the leaderboard job, run cancellation, staticcheck binary
-// cache and the nested benchmark module's race test must stay wired.
+// cache, the nested benchmark module's race test and the wire codec's
+// three fuzz targets must stay wired.
 func TestDocsCIWorkflowWiring(t *testing.T) {
 	ci := readDoc(t, ".github/workflows/ci.yml")
 	for _, token := range []string{
@@ -282,6 +283,9 @@ func TestDocsCIWorkflowWiring(t *testing.T) {
 		"cancel-in-progress: true",
 		"staticcheck-cache",
 		"cd benchmark && go test -race ./...",
+		"-fuzz '^FuzzDecodeRequest$'",
+		"-fuzz '^FuzzDecodeResponse$'",
+		"-fuzz '^FuzzEncode$'",
 	} {
 		if !strings.Contains(ci, token) {
 			t.Errorf("ci.yml does not contain %q", token)

@@ -5,13 +5,18 @@
 // The protocol is deliberately schema-first and versioned so that
 // heterogeneous clients (handset simulators, load generators, neighbouring
 // base stations) can interoperate with a long-lived daemon.
+//
+// The bytes on the wire are exactly those of encoding/json, which is the
+// codec's reference. Encoder and Decoder handle the fixed two-message
+// schema (Request, Response) themselves, field by field; every other type,
+// and every line or value outside that fixed grammar (escaped or non-ASCII
+// text, unknown keys, null, NaN, out-of-range numbers, malformed input),
+// goes through encoding/json unchanged, so its semantics and error texts
+// are encoding/json's.
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"facsp/internal/cac"
 	"facsp/internal/traffic"
@@ -177,51 +182,4 @@ func (r Request) CACRequest() (cac.Request, error) {
 		Handoff:      r.Handoff,
 		Priority:     r.Priority,
 	}, nil
-}
-
-// Encoder writes newline-delimited JSON messages.
-type Encoder struct {
-	w *bufio.Writer
-}
-
-// NewEncoder wraps w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: bufio.NewWriter(w)} }
-
-// Encode writes one message and flushes.
-func (e *Encoder) Encode(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if _, err := e.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return e.w.Flush()
-}
-
-// Decoder reads newline-delimited JSON messages with a bounded line size
-// (64 KiB) so a misbehaving peer cannot exhaust server memory.
-type Decoder struct {
-	s *bufio.Scanner
-}
-
-// NewDecoder wraps r.
-func NewDecoder(r io.Reader) *Decoder {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 4096), 64<<10)
-	return &Decoder{s: s}
-}
-
-// Decode reads one message into v. It returns io.EOF at end of stream.
-func (d *Decoder) Decode(v any) error {
-	if !d.s.Scan() {
-		if err := d.s.Err(); err != nil {
-			return err
-		}
-		return io.EOF
-	}
-	if err := json.Unmarshal(d.s.Bytes(), v); err != nil {
-		return fmt.Errorf("wire: unmarshal %q: %w", d.s.Text(), err)
-	}
-	return nil
 }

@@ -194,3 +194,38 @@ func TestOverloadedResponseRoundTrip(t *testing.T) {
 		t.Errorf("Response = %+v, want %+v", got, want)
 	}
 }
+
+// flakyWriter writes half of its first line, fails, then accepts
+// everything.
+type flakyWriter struct {
+	bytes.Buffer
+	failed bool
+}
+
+func (w *flakyWriter) Write(p []byte) (int, error) {
+	if !w.failed {
+		w.failed = true
+		n, _ := w.Buffer.Write(p[:len(p)/2])
+		return n, errors.New("link down")
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestEncodeErrorIsSticky pins the framing guarantee: after a write fails
+// part-way through a line, the encoder writes nothing more, so the torn
+// line is never glued to the next message.
+func TestEncodeErrorIsSticky(t *testing.T) {
+	var w flakyWriter
+	enc := NewEncoder(&w)
+	first := enc.Encode(validAdmit())
+	if first == nil {
+		t.Fatal("failed write not reported")
+	}
+	torn := w.Len()
+	if err := enc.Encode(validAdmit()); err != first {
+		t.Errorf("second Encode = %v, want the first error %v", err, first)
+	}
+	if w.Len() != torn {
+		t.Errorf("encoder wrote %q after a failed write", w.Bytes()[torn:])
+	}
+}
