@@ -84,6 +84,8 @@ type cell struct {
 	// degraded reads the controller's current degradation depth (number
 	// of connections served below request); nil for non-adaptive schemes.
 	degraded func() int
+	// shedErr is the error text of this cell's shed replies.
+	shedErr string
 }
 
 // grantKey identifies one live grant of a session: client-chosen
@@ -153,7 +155,8 @@ func New(cfg Config) (*Server, error) {
 		if ctrl == nil {
 			return nil, fmt.Errorf("bsd: nil controller for cell %d", i)
 		}
-		c := &cell{index: i, ctrl: ctrl, reg: reg}
+		c := &cell{index: i, ctrl: ctrl, reg: reg,
+			shedErr: fmt.Sprintf("bsd: cell %d overloaded: request queue full", i)}
 		if d, ok := ctrl.(interface{ Degraded() int }); ok {
 			c.degraded = d.Degraded
 		}
@@ -305,16 +308,19 @@ func (c *cell) do(op wire.Op, creq cac.Request, class traffic.Class) wire.Respon
 	return resp
 }
 
-// overloaded is the shed response for a cell at its pending bound.
+// overloaded is the shed response for a cell at its pending bound. It
+// reads the occupancy and capacity gauges that do sets under the cell
+// lock, not the controller, so a shed reply never waits behind the
+// running operation's controller lock.
 func (c *cell) overloaded() wire.Response {
 	return wire.Response{
 		V:         wire.Version,
 		OK:        false,
 		Code:      wire.CodeOverloaded,
-		Err:       fmt.Sprintf("bsd: cell %d overloaded: request queue full", c.index),
+		Err:       c.shedErr,
 		Cell:      c.index,
-		Occupancy: c.ctrl.Occupancy(),
-		Capacity:  c.ctrl.Capacity(),
+		Occupancy: c.reg.GaugeValue(c.index, metrics.OccupancyBU),
+		Capacity:  c.reg.GaugeValue(c.index, metrics.CapacityBU),
 		Scheme:    cac.Name(c.ctrl),
 	}
 }
@@ -339,17 +345,25 @@ func (s *Server) handle(conn net.Conn) {
 
 	dec := wire.NewDecoder(conn)
 	enc := wire.NewEncoder(conn)
+	// One request and one response per session, passed by pointer: boxing
+	// a fresh struct into the codec's `any` would allocate per message.
+	var (
+		req  wire.Request
+		resp wire.Response
+	)
 	for {
-		var req wire.Request
+		req = wire.Request{}
 		if err := dec.Decode(&req); err != nil {
 			if !errors.Is(err, io.EOF) {
 				// Malformed line: answer once, then drop the session —
 				// framing is gone.
-				_ = enc.Encode(s.errResponse(0, err))
+				resp = s.errResponse(0, err)
+				_ = enc.Encode(&resp)
 			}
 			return
 		}
-		if err := enc.Encode(s.process(req, grants)); err != nil {
+		resp = s.process(req, grants)
+		if err := enc.Encode(&resp); err != nil {
 			return
 		}
 	}
@@ -437,6 +451,10 @@ type Client struct {
 	enc  *wire.Encoder
 	dec  *wire.Decoder
 	mu   sync.Mutex
+	// req and resp are the messages of the round trip in flight, guarded
+	// by mu; the codec gets pointers to them, so no message is boxed anew.
+	req  wire.Request
+	resp wire.Response
 }
 
 // Dial connects to a daemon.
@@ -456,14 +474,15 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) roundTrip(req wire.Request) (wire.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
+	c.req = req
+	if err := c.enc.Encode(&c.req); err != nil {
 		return wire.Response{}, err
 	}
-	var resp wire.Response
-	if err := c.dec.Decode(&resp); err != nil {
+	c.resp = wire.Response{}
+	if err := c.dec.Decode(&c.resp); err != nil {
 		return wire.Response{}, err
 	}
-	return resp, nil
+	return c.resp, nil
 }
 
 // AdmitOptions carries the optional parameters of an admission request —

@@ -181,3 +181,73 @@ func TestDisconnectAtShedLimitReleasesAll(t *testing.T) {
 		t.Errorf("Shed() = %d, want 0: cleanup releases must never be shed", got)
 	}
 }
+
+// lockedCtrl holds its own lock for the whole of a parked Admit, the way
+// a controller serialising its state does, so Occupancy and Capacity wait
+// for the gate.
+type lockedCtrl struct {
+	*blockingCtrl
+	mu sync.Mutex
+}
+
+func (l *lockedCtrl) Admit(r cac.Request) cac.Decision {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.blockingCtrl.Admit(r)
+}
+
+func (l *lockedCtrl) Occupancy() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.blockingCtrl.Occupancy()
+}
+
+func (l *lockedCtrl) Capacity() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.blockingCtrl.Capacity()
+}
+
+// TestShedDoesNotWaitForController pins the shed path's independence from
+// the controller: with an Admit parked inside the controller's own lock,
+// a request shed at the saturated cell is still answered at once, with
+// the occupancy and capacity the cell last reported.
+func TestShedDoesNotWaitForController(t *testing.T) {
+	ctrl := &lockedCtrl{blockingCtrl: newBlockingCtrl()}
+	f := newGateFixture(t, ctrl, ctrl.blockingCtrl)
+	a, b, c := f.dial(), f.dial(), f.dial()
+	bResp, cResp := f.saturate(b, c)
+	// Registered after the fixture, so it runs before the server drains.
+	var once sync.Once
+	open := func() { once.Do(func() { close(ctrl.gate) }) }
+	t.Cleanup(open)
+
+	shed := make(chan wire.Response, 1)
+	go func() {
+		resp, err := a.Admit(1, "voice", 0, 0, false)
+		if err != nil {
+			t.Errorf("shed admit: %v", err)
+		}
+		shed <- resp
+	}()
+	select {
+	case resp := <-shed:
+		want := wire.Response{
+			V: wire.Version, Code: wire.CodeOverloaded,
+			Err:      "bsd: cell 0 overloaded: request queue full",
+			Capacity: 40, Scheme: cac.Name(ctrl),
+		}
+		if resp != want {
+			t.Errorf("shed reply = %+v, want %+v", resp, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("shed reply waited for the controller's lock")
+	}
+
+	open()
+	for _, ch := range []chan wire.Response{bResp, cResp} {
+		if r := <-ch; !r.OK || !r.Accept {
+			t.Errorf("gated admit = %+v", r)
+		}
+	}
+}
