@@ -186,6 +186,9 @@ func Registry(sc SweepConfig) []Spec {
 		// Schedule and drain 128 typed events per op; allocation-free in
 		// steady state.
 		{Name: "micro/des/schedule", Smoke: true, New: desSchedule},
+		// The wire codec alone: a serve-surface admit request and its reply,
+		// each encoded and decoded once per op (0 allocs in steady state).
+		{Name: "micro/wire/codec", Smoke: true, New: wireCodec},
 	}
 
 	// One reduced figure sweep per op, per scheme — the simulated-calls-

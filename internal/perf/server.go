@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"facsp/internal/cac"
 	"facsp/internal/core"
 	"facsp/internal/loadgen"
+	"facsp/internal/wire"
 )
 
 // startDaemon boots an in-process admission daemon with cells FACS-P
@@ -38,6 +40,42 @@ func startDaemon(cells int, capacity float64) (string, error) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
+}
+
+// wireCodec measures the codec's share of one admission round trip: a
+// handoff admit of the serve-surface workload and its reply, each
+// encoded through wire.Encoder and decoded through wire.Decoder over an
+// in-memory buffer that every decode drains. The messages are boxed once,
+// as pointers, the way bsd hands them to the codec.
+func wireCodec() (Body, error) {
+	req := wire.Request{V: wire.Version, Op: wire.OpAdmit, ID: 48213, Cell: 11, Class: "voice",
+		SpeedKmh: 87.25391827418273, AngleDeg: -141.0742512300193, Handoff: true, Priority: 1}
+	resp := wire.Response{V: wire.Version, OK: true, Cell: 11, Accept: true,
+		Score: 0.23619479588383414, Outcome: "WA", Occupancy: 31, Capacity: 40, Scheme: "FACS-P"}
+	var (
+		buf      bytes.Buffer
+		gotReq   wire.Request
+		gotResp  wire.Response
+		send     = []any{&req, &resp}
+		recv     = []any{&gotReq, &gotResp}
+		enc, dec = wire.NewEncoder(&buf), wire.NewDecoder(&buf)
+	)
+	return func(n int) (int64, error) {
+		for i := 0; i < n; i++ {
+			for j := range send {
+				if err := enc.Encode(send[j]); err != nil {
+					return 0, err
+				}
+				if err := dec.Decode(recv[j]); err != nil {
+					return 0, err
+				}
+			}
+		}
+		if n > 0 && (gotReq != req || gotResp != resp) {
+			return 0, fmt.Errorf("wire codec: decoded %+v / %+v, want %+v / %+v", gotReq, gotResp, req, resp)
+		}
+		return 0, nil
+	}, nil
 }
 
 // serverRoundtripSpec measures one closed-loop admit+release pair per op
