@@ -238,17 +238,19 @@ func (d *Decoder) Decode(v any) error {
 	switch m := v.(type) {
 	case *Request:
 		if m != nil {
-			if r, ok := d.request(line, *m); ok {
-				*m = r
+			orig := *m
+			if d.request(line, m) {
 				return nil
 			}
+			*m = orig
 		}
 	case *Response:
 		if m != nil {
-			if r, ok := d.response(line, *m); ok {
-				*m = r
+			orig := *m
+			if d.response(line, m) {
 				return nil
 			}
+			*m = orig
 		}
 	}
 	if err := json.Unmarshal(line, v); err != nil {
@@ -257,12 +259,12 @@ func (d *Decoder) Decode(v any) error {
 	return nil
 }
 
-// request decodes line over a copy r of the caller's value. It reports
-// false when the line leaves the fast grammar.
-func (d *Decoder) request(line []byte, r Request) (Request, bool) {
+// request decodes line into r. It reports false, with r partly
+// overwritten, when the line leaves the fast grammar.
+func (d *Decoder) request(line []byte, r *Request) bool {
 	l := lexer{b: line}
 	if !l.eat('{') {
-		return r, false
+		return false
 	}
 	for first := true; l.next(first); first = false {
 		switch string(l.key()) {
@@ -290,17 +292,17 @@ func (d *Decoder) request(line []byte, r Request) (Request, bool) {
 			l.bad = true
 		}
 		if l.bad {
-			return r, false
+			return false
 		}
 	}
-	return r, l.end()
+	return l.end()
 }
 
-// response decodes line over r, as request does.
-func (d *Decoder) response(line []byte, r Response) (Response, bool) {
+// response decodes line into r, as request does.
+func (d *Decoder) response(line []byte, r *Response) bool {
 	l := lexer{b: line}
 	if !l.eat('{') {
-		return r, false
+		return false
 	}
 	for first := true; l.next(first); first = false {
 		switch string(l.key()) {
@@ -335,10 +337,10 @@ func (d *Decoder) response(line []byte, r Response) (Response, bool) {
 			l.bad = true
 		}
 		if l.bad {
-			return r, false
+			return false
 		}
 	}
-	return r, l.end()
+	return l.end()
 }
 
 // str reads a string value, reusing an earlier identical one.
@@ -392,11 +394,18 @@ func (l *lexer) eat(c byte) bool {
 // next reports whether another member follows: false at the closing
 // brace, and false with bad set on anything but a comma between members.
 func (l *lexer) next(first bool) bool {
-	switch {
-	case l.eat('}'):
-		return false
-	case first || l.eat(','):
-		return true
+	l.skip()
+	if l.i < len(l.b) {
+		switch c := l.b[l.i]; {
+		case c == '}':
+			l.i++
+			return false
+		case first:
+			return true
+		case c == ',':
+			l.i++
+			return true
+		}
 	}
 	l.bad = true
 	return false
@@ -454,152 +463,115 @@ func (l *lexer) bool() bool {
 	return false
 }
 
-// num reads a JSON number literal and reports whether it is an integer
-// (no fraction, no exponent).
-func (l *lexer) num() (lit []byte, integral bool) {
+// number is a JSON number literal: its text, and its digits read as one
+// integer with the count of those after the point.
+type number struct {
+	lit    []byte
+	neg    bool
+	mant   uint64 // the digits as one integer, exact while digits <= 19
+	digits int
+	frac   int // digits after the point; -1 when the literal has an exponent
+}
+
+// num reads a JSON number literal.
+func (l *lexer) num() (n number) {
 	l.skip()
 	b, i := l.b, l.i
-	digits := func() bool {
-		n := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > n
-	}
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case !digits():
+	start := i
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		n.mant = n.mant*10 + uint64(b[i]-'0')
+	}
+	n.digits = i - start
+	if n.digits == 0 || n.digits > 1 && b[start] == '0' {
 		l.bad = true
-		return nil, false
+		return n
 	}
-	integral = true
 	if i < len(b) && b[i] == '.' {
 		i++
-		integral = false
-		if !digits() {
-			l.bad = true
-			return nil, false
+		start = i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			n.mant = n.mant*10 + uint64(b[i]-'0')
 		}
+		if n.frac = i - start; n.frac == 0 {
+			l.bad = true
+			return n
+		}
+		n.digits += n.frac
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		integral = false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if !digits() {
-			l.bad = true
-			return nil, false
+		start = i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
 		}
+		if i == start {
+			l.bad = true
+			return n
+		}
+		n.frac = -1
 	}
-	lit, l.i = b[l.i:i], i
-	return lit, integral
-}
-
-// decimal parses an unsigned decimal integer literal of at most max
-// digits, so the result cannot overflow.
-func (l *lexer) decimal(lit []byte, max int) uint64 {
-	if len(lit) > max {
-		l.bad = true
-		return 0
-	}
-	var n uint64
-	for _, c := range lit {
-		n = n*10 + uint64(c-'0')
-	}
+	n.lit, l.i = b[l.i:i], i
 	return n
 }
 
 // int reads an integer literal that fits int, as json.Unmarshal's
 // strconv.ParseInt would; a fraction or exponent sets bad.
 func (l *lexer) int() int {
-	lit, integral := l.num()
-	if l.bad || !integral {
+	n := l.num()
+	if l.bad || n.frac != 0 || n.digits > 18 {
 		l.bad = true
 		return 0
 	}
-	neg := lit[0] == '-'
-	if neg {
-		lit = lit[1:]
+	v := int64(n.mant)
+	if n.neg {
+		v = -v
 	}
-	n := int64(l.decimal(lit, 18))
-	if neg {
-		n = -n
-	}
-	if int64(int(n)) != n {
+	if int64(int(v)) != v {
 		l.bad = true
 	}
-	return int(n)
+	return int(v)
 }
 
 // uint reads a non-negative integer literal that fits uint64.
 func (l *lexer) uint() uint64 {
-	lit, integral := l.num()
-	if l.bad || !integral || lit[0] == '-' {
+	n := l.num()
+	if l.bad || n.frac != 0 || n.neg || n.digits > 19 {
 		l.bad = true
 		return 0
 	}
-	return l.decimal(lit, 19)
+	return n.mant
 }
 
-// float reads a number literal as json.Unmarshal does, with
-// strconv.ParseFloat unless exactFloat applies; a literal out of float64
-// range sets bad.
+// float reads a number literal as json.Unmarshal does; a literal out of
+// float64 range sets bad. A literal without exponent whose digits, read as
+// one integer, stay below 2^53, with at most 22 of them after the point,
+// skips strconv.ParseFloat: the digits and the power of ten are then
+// exact float64s, so their quotient, rounded once, is the correctly
+// rounded value ParseFloat returns (Clinger's fast path).
 func (l *lexer) float() float64 {
-	lit, _ := l.num()
+	n := l.num()
 	if l.bad {
 		return 0
 	}
-	if f, ok := exactFloat(lit); ok {
+	if n.frac >= 0 && n.frac < len(pow10) && n.digits <= 19 && n.mant < 1<<53 {
+		f := float64(n.mant) / pow10[n.frac]
+		if n.neg {
+			f = -f
+		}
 		return f
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	f, err := strconv.ParseFloat(string(n.lit), 64)
 	if err != nil {
 		l.bad = true
 	}
 	return f
-}
-
-// exactFloat converts a literal without exponent whose digits, read as one
-// integer, stay below 2^53, with at most 22 of them after the point. The
-// digits and the power of ten are then exact float64s, so their quotient,
-// rounded once, is the correctly rounded value ParseFloat returns
-// (Clinger's fast path) without ParseFloat's second scan.
-func exactFloat(lit []byte) (float64, bool) {
-	neg := lit[0] == '-'
-	if neg {
-		lit = lit[1:]
-	}
-	var mant uint64
-	frac := -1 // digits after the point, once it is seen
-	for _, c := range lit {
-		switch {
-		case c == '.':
-			frac = 0
-			continue
-		case c < '0' || c > '9', mant >= (1<<53)/10:
-			return 0, false
-		}
-		mant = mant*10 + uint64(c-'0')
-		if frac >= 0 {
-			frac++
-		}
-	}
-	if frac >= len(pow10) {
-		return 0, false
-	}
-	f := float64(mant)
-	if frac > 0 {
-		f /= pow10[frac]
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
 }
 
 // pow10 holds the powers of ten a float64 represents exactly.

@@ -40,6 +40,7 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte(`{"v":null,"op":"admit","handoff":null,"id":18446744073709551615,"cell":9223372036854775807}` + "\n"))
 	f.Add([]byte(`{"v":1,"id":18446744073709551616,"priority":-9223372036854775809,"cell":1.0,"speed_kmh":1e400}` + "\n"))
 	f.Add([]byte(`{"v":1,"op":"admit","angle_deg":0.1234567890123456789,"speed_kmh":9007199254740993,"min_bu":012}` + "\n"))
+	f.Add([]byte(`{"v":1,"op":"admit","speed_kmh":398.36064958888621,"angle_deg":-93.38779410273147844}` + "\n"))
 	f.Add([]byte(`{"v":1,"ok":false,"err":"bsd: cell 3 overloaded: request queue full","code":"overloaded","cell":3,"occupancy":37,"capacity":40,"scheme":"FACS-P"}` + "\n"))
 	f.Add([]byte("{\"v\":1,\"ok\":true,\"outcome\":\"caf\xc3\xa9\",\"scheme\":\"\xff\",\"extra\":[1,{\"a\":2}],\"score\":true}\n"))
 	f.Add([]byte(`{"v":1,"ok":true}x` + "\n" + `{"v":1,}` + "\n" + `{,}` + "\n" + `{}` + "\n" + `null` + "\n" + `[]` + "\n"))
