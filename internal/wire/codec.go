@@ -177,13 +177,6 @@ func (e *Encoder) float(f float64) {
 		e.slow = true
 		return
 	}
-	// An integer below 2^53 in magnitude prints as its own digits, which
-	// AppendInt writes several times faster than the shortest-float
-	// search. Not −0: it prints as "-0".
-	if f == math.Trunc(f) && math.Abs(f) < 1<<53 && (f != 0 || !math.Signbit(f)) {
-		e.buf = strconv.AppendInt(e.buf, int64(f), 10)
-		return
-	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -203,15 +196,19 @@ func (e *Encoder) float(f float64) {
 // (64 KiB) so a misbehaving peer cannot exhaust server memory.
 type Decoder struct {
 	s *bufio.Scanner
-	// strs holds the op, class, code, outcome and scheme values decoded so
-	// far, so a repeated value costs no allocation. Bounded by maxInterned.
+	// strs holds the short op, class, code, outcome and scheme values
+	// decoded so far, so a repeated value costs no allocation.
 	strs []string
 }
 
-// maxInterned bounds a Decoder's table of reused strings. The vocabulary
-// is a few ops, classes, outcomes and scheme names; a peer sending more
-// distinct values only loses the reuse.
-const maxInterned = 32
+// A Decoder keeps at most maxInterned strings of at most maxInternLen
+// bytes for reuse, so a session pins at most 512 bytes of peer-chosen
+// text. The vocabulary is a few short ops, classes, outcomes and scheme
+// names; a longer or further distinct value is decoded but not kept.
+const (
+	maxInterned  = 32
+	maxInternLen = 16
+)
 
 // NewDecoder wraps r.
 func NewDecoder(r io.Reader) *Decoder {
@@ -355,7 +352,7 @@ func (d *Decoder) str(l *lexer) string {
 		}
 	}
 	s := string(b)
-	if len(d.strs) < maxInterned {
+	if len(s) <= maxInternLen && len(d.strs) < maxInterned {
 		d.strs = append(d.strs, s)
 	}
 	return s
@@ -463,44 +460,32 @@ func (l *lexer) bool() bool {
 	return false
 }
 
-// number is a JSON number literal: its text, and its digits read as one
-// integer with the count of those after the point.
-type number struct {
-	lit    []byte
-	neg    bool
-	mant   uint64 // the digits as one integer, exact while digits <= 19
-	digits int
-	frac   int // digits after the point; -1 when the literal has an exponent
-}
-
-// num reads a JSON number literal.
-func (l *lexer) num() (n number) {
+// num reads a JSON number literal. strconv reads its value, as it does in
+// json.Unmarshal; ParseInt and ParseUint reject a fraction or exponent.
+func (l *lexer) num() []byte {
 	l.skip()
 	b, i := l.b, l.i
 	if i < len(b) && b[i] == '-' {
-		n.neg = true
 		i++
 	}
 	start := i
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		n.mant = n.mant*10 + uint64(b[i]-'0')
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
 	}
-	n.digits = i - start
-	if n.digits == 0 || n.digits > 1 && b[start] == '0' {
+	if i == start || i-start > 1 && b[start] == '0' {
 		l.bad = true
-		return n
+		return nil
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		start = i
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			n.mant = n.mant*10 + uint64(b[i]-'0')
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
 		}
-		if n.frac = i - start; n.frac == 0 {
+		if i == start {
 			l.bad = true
-			return n
+			return nil
 		}
-		n.digits += n.frac
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -513,27 +498,22 @@ func (l *lexer) num() (n number) {
 		}
 		if i == start {
 			l.bad = true
-			return n
+			return nil
 		}
-		n.frac = -1
 	}
-	n.lit, l.i = b[l.i:i], i
-	return n
+	lit := b[l.i:i]
+	l.i = i
+	return lit
 }
 
-// int reads an integer literal that fits int, as json.Unmarshal's
-// strconv.ParseInt would; a fraction or exponent sets bad.
+// int reads an integer literal that fits int.
 func (l *lexer) int() int {
-	n := l.num()
-	if l.bad || n.frac != 0 || n.digits > 18 {
-		l.bad = true
+	lit := l.num()
+	if l.bad {
 		return 0
 	}
-	v := int64(n.mant)
-	if n.neg {
-		v = -v
-	}
-	if int64(int(v)) != v {
+	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	if err != nil {
 		l.bad = true
 	}
 	return int(v)
@@ -541,39 +521,26 @@ func (l *lexer) int() int {
 
 // uint reads a non-negative integer literal that fits uint64.
 func (l *lexer) uint() uint64 {
-	n := l.num()
-	if l.bad || n.frac != 0 || n.neg || n.digits > 19 {
-		l.bad = true
-		return 0
-	}
-	return n.mant
-}
-
-// float reads a number literal as json.Unmarshal does; a literal out of
-// float64 range sets bad. A literal without exponent whose digits, read as
-// one integer, stay below 2^53, with at most 22 of them after the point,
-// skips strconv.ParseFloat: the digits and the power of ten are then
-// exact float64s, so their quotient, rounded once, is the correctly
-// rounded value ParseFloat returns (Clinger's fast path).
-func (l *lexer) float() float64 {
-	n := l.num()
+	lit := l.num()
 	if l.bad {
 		return 0
 	}
-	if n.frac >= 0 && n.frac < len(pow10) && n.digits <= 19 && n.mant < 1<<53 {
-		f := float64(n.mant) / pow10[n.frac]
-		if n.neg {
-			f = -f
-		}
-		return f
+	v, err := strconv.ParseUint(string(lit), 10, 64)
+	if err != nil {
+		l.bad = true
 	}
-	f, err := strconv.ParseFloat(string(n.lit), 64)
+	return v
+}
+
+// float reads a number literal; one out of float64 range sets bad.
+func (l *lexer) float() float64 {
+	lit := l.num()
+	if l.bad {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		l.bad = true
 	}
 	return f
 }
-
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
@@ -90,8 +91,7 @@ var (
 	intLits   = []string{"0", "1", "-1", "-0", "12", "9223372036854775807", "-9223372036854775808"}
 	uintLits  = []string{"0", "1", "12", "4711", "18446744073709551615"}
 	floatLits = []string{"0", "-0", "40", "1.5", "-0.0", "1e3", "1E-7", "1e+2", "4.9e-325", "0.1234567890123456789", "9007199254740993", "87.25391827418273", "-179.99999999999997",
-		// Digits past 2^53: dividing them rounded would round twice and
-		// miss ParseFloat's value.
+		// More significant digits than a float64 holds exactly.
 		"398.36064958888621", "-93.38779410273147844"}
 	stringLits = []string{`"voice"`, `"admit"`, `"FACS-P"`, `""`, `"<&>"`, "\"\x7f\"", `"a b"`}
 	boolLits   = []string{"true", "false"}
@@ -204,5 +204,29 @@ func decodeMatchesUnmarshal[T comparable](t *testing.T, r *rand.Rand, prefilled 
 	}
 	if _, err := d.decode(t); !errors.Is(err, io.EOF) {
 		t.Errorf("%T: after %d lines: %v, want EOF", zero, lines, err)
+	}
+}
+
+// A Decoder keeps only short strings for reuse, so distinct long values
+// from a peer are decoded but pin no memory for the session.
+func TestDecoderKeepsOnlyShortStrings(t *testing.T) {
+	var data bytes.Buffer
+	long := make([]string, maxInterned)
+	for i := range long {
+		long[i] = fmt.Sprintf("%0*d", 60<<10, i)
+		fmt.Fprintf(&data, "{\"v\":1,\"op\":\"admit\",\"class\":\"%s\"}\n", long[i])
+	}
+	dec := NewDecoder(&data)
+	for i, want := range long {
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+		if req.Op != OpAdmit || req.Class != want {
+			t.Fatalf("line %d: decoded op %q and a class of %d bytes", i, req.Op, len(req.Class))
+		}
+	}
+	if len(dec.strs) != 1 || dec.strs[0] != "admit" {
+		t.Errorf("decoder keeps %d strings, want only %q", len(dec.strs), "admit")
 	}
 }
