@@ -372,12 +372,14 @@ func (s *Server) handle(conn net.Conn) {
 // errResponse builds an error reply, carrying the addressed cell's
 // snapshot state when the index resolves. Error replies are advisory —
 // they do not claim the atomic occupancy of an op run under the cell lock.
+// Like overloaded, it reads the cell's gauges rather than the controller,
+// so an error reply never waits behind a running operation.
 func (s *Server) errResponse(cellIdx int, err error) wire.Response {
 	resp := wire.Response{V: wire.Version, OK: false, Err: err.Error(), Cell: cellIdx}
 	if cellIdx >= 0 && cellIdx < len(s.cells) {
 		c := s.cells[cellIdx]
-		resp.Occupancy = c.ctrl.Occupancy()
-		resp.Capacity = c.ctrl.Capacity()
+		resp.Occupancy = c.reg.GaugeValue(c.index, metrics.OccupancyBU)
+		resp.Capacity = c.reg.GaugeValue(c.index, metrics.CapacityBU)
 		resp.Scheme = cac.Name(c.ctrl)
 	}
 	return resp

@@ -251,3 +251,48 @@ func TestShedDoesNotWaitForController(t *testing.T) {
 		}
 	}
 }
+
+// TestErrorReplyDoesNotWaitForController pins error replies to the same
+// independence: with an Admit parked inside the controller's own lock, a
+// request that fails validation on another session is answered at once,
+// with the occupancy and capacity the cell last reported.
+func TestErrorReplyDoesNotWaitForController(t *testing.T) {
+	ctrl := &lockedCtrl{blockingCtrl: newBlockingCtrl()}
+	f := newGateFixture(t, ctrl, ctrl.blockingCtrl)
+	a, b := f.dial(), f.dial()
+	parked := make(chan wire.Response, 1)
+	go func() {
+		resp, err := b.Admit(100, "voice", 0, 0, false)
+		if err != nil {
+			t.Errorf("parked admit: %v", err)
+		}
+		parked <- resp
+	}()
+	<-ctrl.entered
+	// Registered after the fixture, so it runs before the server drains.
+	var once sync.Once
+	open := func() { once.Do(func() { close(ctrl.gate) }) }
+	t.Cleanup(open)
+
+	reply := make(chan wire.Response, 1)
+	go func() {
+		resp, err := a.Admit(1, "fax", 0, 0, false)
+		if err != nil {
+			t.Errorf("fax admit: %v", err)
+		}
+		reply <- resp
+	}()
+	select {
+	case resp := <-reply:
+		if resp.OK || resp.Err == "" || resp.Occupancy != 0 || resp.Capacity != 40 || resp.Scheme != cac.Name(ctrl) {
+			t.Errorf("error reply = %+v, want a refusal carrying capacity 40", resp)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("error reply waited for the controller's lock")
+	}
+
+	open()
+	if r := <-parked; !r.OK || !r.Accept {
+		t.Errorf("parked admit = %+v", r)
+	}
+}

@@ -138,16 +138,25 @@ func inferScore(flc1, flc2 *fuzzy.Engine, surf1, surf2 *fuzzy.Surface,
 }
 
 // surfacePair compiles the FLC1/FLC2 surfaces for a controller whose config
-// requested SurfaceResolution > 0.
+// requested SurfaceResolution > 0. The two compile concurrently; an FLC1
+// error is reported ahead of an FLC2 error.
 func surfacePair(flc1, flc2 *fuzzy.Engine, resolution, samples int, defuzz fuzzy.Defuzzifier) (s1, s2 *fuzzy.Surface, err error) {
 	if samples <= 0 {
 		samples = fuzzy.DefaultSamples
 	}
-	if s1, err = compileSurface(flc1, resolution, samples, defuzz); err != nil {
+	var err2 error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s2, err2 = compileSurface(flc2, resolution, samples, defuzz)
+	}()
+	s1, err = compileSurface(flc1, resolution, samples, defuzz)
+	<-done
+	if err != nil {
 		return nil, nil, err
 	}
-	if s2, err = compileSurface(flc2, resolution, samples, defuzz); err != nil {
-		return nil, nil, err
+	if err2 != nil {
+		return nil, nil, err2
 	}
 	return s1, s2, nil
 }

@@ -14,6 +14,13 @@ var ErrNoRuleFired = errors.New("fuzzy: no rule fired (aggregated output set is 
 // Variable together with a clipped activation strength per term — into a
 // crisp value. samples is the numeric-integration resolution over the
 // output universe for defuzzifiers that integrate.
+//
+// Defuzz must be a pure function of its arguments: the same variable,
+// strengths and samples always give the same result, and Defuzz neither
+// keeps nor changes the strength slice. Surface compilation defuzzifies
+// each distinct strength vector once and reuses the result, and the
+// process-wide surface cache in internal/core shares surfaces between
+// equal defuzzifier values; both rely on this.
 type Defuzzifier interface {
 	Defuzz(out Variable, strength []float64, samples int) (float64, error)
 }

@@ -1,6 +1,7 @@
 package fuzzy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -42,10 +43,14 @@ const (
 // The grid on each axis is the union of a uniform partition and the
 // breakpoints of every membership function on that axis, so the kinks of the
 // piecewise-linear fuzzification land exactly on grid planes instead of
-// being smeared across a cell. Construction costs one full inference per
-// grid point; lookups afterwards cost 2^d multiply-adds and no allocation,
-// which is what makes admission-rate workloads tractable (see
-// core.Config.SurfaceResolution and EXPERIMENTS.md).
+// being smeared across a cell. Construction fuzzifies each tick once per
+// axis, folds every rule's AND over the leading axes once per prefix
+// point, then costs one AND per live rule at each point of the last axis;
+// it defuzzifies each distinct term-strength vector once (about 20% of the
+// points of the paper's FLC1 at resolution 33, 11% of FLC2's). Lookups
+// afterwards cost 2^d multiply-adds and no allocation, which is what makes
+// admission-rate workloads tractable (see core.Config.SurfaceResolution
+// and EXPERIMENTS.md).
 //
 // A Surface is immutable and safe for concurrent use.
 type Surface struct {
@@ -61,14 +66,31 @@ type Surface struct {
 // A resolution below 2 is an error; the engine's inference errors, if any,
 // surface here rather than at query time.
 func NewSurface(e *Engine, resolution int) (*Surface, error) {
+	s, _, err := compileSurface(e, resolution)
+	return s, err
+}
+
+// compileSurface is NewSurface that also reports how many distinct
+// term-strength vectors it defuzzified.
+//
+// Every grid value is bit-identical to e.Infer at that grid point: the
+// tick grades come from the same Clamp and Grade calls, every rule's AND
+// folds its antecedents in the same order with the same zero
+// short-circuit as aggregate, and the terms max-aggregate in rule order.
+// Only the sharing differs. Each tick is fuzzified once per axis; each
+// rule's AND over the leading axes is folded once per prefix point, and
+// rules whose prefix is zero are dropped there; and a strength vector
+// seen before reuses its crisp value. The last is sound because Defuzz
+// is a pure function of its arguments.
+func compileSurface(e *Engine, resolution int) (*Surface, int, error) {
 	if e == nil {
-		return nil, fmt.Errorf("fuzzy: NewSurface of nil engine")
+		return nil, 0, fmt.Errorf("fuzzy: NewSurface of nil engine")
 	}
 	if resolution < 2 {
-		return nil, fmt.Errorf("fuzzy: surface for %q: resolution %d below 2", e.name, resolution)
+		return nil, 0, fmt.Errorf("fuzzy: surface for %q: resolution %d below 2", e.name, resolution)
 	}
 	if len(e.inputs) > maxSurfaceDims {
-		return nil, fmt.Errorf("fuzzy: surface for %q: %d inputs exceeds the %d-dimension limit",
+		return nil, 0, fmt.Errorf("fuzzy: surface for %q: %d inputs exceeds the %d-dimension limit",
 			e.name, len(e.inputs), maxSurfaceDims)
 	}
 
@@ -78,7 +100,7 @@ func NewSurface(e *Engine, resolution int) (*Surface, error) {
 		axes[i] = axisTicks(v, resolution)
 		points *= len(axes[i])
 		if points > maxSurfacePoints {
-			return nil, fmt.Errorf("fuzzy: surface for %q exceeds %d grid points", e.name, maxSurfacePoints)
+			return nil, 0, fmt.Errorf("fuzzy: surface for %q exceeds %d grid points", e.name, maxSurfacePoints)
 		}
 	}
 	strides := make([]int, len(axes))
@@ -87,21 +109,89 @@ func NewSurface(e *Engine, resolution int) (*Surface, error) {
 		strides[i] = strides[i+1] * len(axes[i+1])
 	}
 
-	vals := make([]float64, points)
-	point := make([]float64, len(axes))
-	idx := make([]int, len(axes))
-	for p := range vals {
-		for i := range idx {
-			point[i] = axes[i][idx[i]]
+	// grades[i][k*len(Terms)+t] is term t's grade at tick k of axis i.
+	grades := make([][]float64, len(axes))
+	for i, v := range e.inputs {
+		nt := len(v.Terms)
+		grades[i] = make([]float64, len(axes[i])*nt)
+		for k, x := range axes[i] {
+			x = v.Clamp(x)
+			for t, term := range v.Terms {
+				grades[i][k*nt+t] = term.MF.Grade(x)
+			}
 		}
-		crisp, err := e.Infer(point...)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzy: surface for %q at %v: %w", e.name, point, err)
-		}
-		vals[p] = crisp
+	}
 
-		// Advance the odometer, rightmost axis fastest (row-major order).
-		for i := len(idx) - 1; i >= 0; i-- {
+	// The leading axes form the prefix; the last axis is the fastest.
+	last := len(axes) - 1
+	lastTerms := len(e.inputs[last].Terms)
+	type liveRule struct {
+		prefix float64 // AND over the prefix axes; unused for a 1-D engine
+		term   int     // antecedent term on the last axis
+		then   int
+	}
+	live := make([]liveRule, 0, len(e.rules))
+	strength := make([]float64, len(e.output.Terms))
+	key := make([]byte, 8*len(strength))
+	memo := make(map[string]float64)
+	defuzzified := 0
+	vals := make([]float64, points)
+	idx := make([]int, last) // the tick on each prefix axis
+
+	for base := 0; base < points; base += len(axes[last]) {
+		live = live[:0]
+		for _, r := range e.rules {
+			if last == 0 {
+				live = append(live, liveRule{term: r.When[0], then: r.Then})
+				continue
+			}
+			s := grades[0][idx[0]*len(e.inputs[0].Terms)+r.When[0]]
+			for i := 1; i < last; i++ {
+				if s == 0 {
+					break // conjunction cannot recover once any AND operand is 0
+				}
+				s = e.and(s, grades[i][idx[i]*len(e.inputs[i].Terms)+r.When[i]])
+			}
+			if s != 0 {
+				live = append(live, liveRule{prefix: s, term: r.When[last], then: r.Then})
+			}
+		}
+
+		for k := range axes[last] {
+			g := grades[last][k*lastTerms : (k+1)*lastTerms]
+			clear(strength)
+			for _, r := range live {
+				s := g[r.term]
+				if last > 0 {
+					s = e.and(r.prefix, s)
+				}
+				if s > strength[r.then] {
+					strength[r.then] = s
+				}
+			}
+			for t, s := range strength {
+				binary.LittleEndian.PutUint64(key[8*t:], math.Float64bits(s))
+			}
+			crisp, ok := memo[string(key)]
+			if !ok {
+				var err error
+				defuzzified++
+				if crisp, err = e.defuzzify(strength); err != nil {
+					point := make([]float64, 0, len(axes))
+					for i, j := range idx {
+						point = append(point, axes[i][j])
+					}
+					point = append(point, axes[last][k])
+					return nil, 0, fmt.Errorf("fuzzy: surface for %q at %v: %w", e.name, point,
+						fmt.Errorf("fuzzy: engine %q: %w", e.name, err))
+				}
+				memo[string(key)] = crisp
+			}
+			vals[base+k] = crisp
+		}
+
+		// Advance the prefix odometer, rightmost axis fastest (row-major order).
+		for i := last - 1; i >= 0; i-- {
 			idx[i]++
 			if idx[i] < len(axes[i]) {
 				break
@@ -116,7 +206,7 @@ func NewSurface(e *Engine, resolution int) (*Surface, error) {
 		strides: strides,
 		vals:    vals,
 		output:  e.output,
-	}, nil
+	}, defuzzified, nil
 }
 
 // axisTicks builds one axis of the grid: resolution uniform ticks over the

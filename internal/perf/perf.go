@@ -168,6 +168,10 @@ func Registry(sc SweepConfig) []Spec {
 		// The same queries answered from the precomputed decision surface.
 		{Name: "micro/flc1/surface", New: flc1Surface},
 		{Name: "micro/flc2/surface", New: flc2Surface},
+		// Compile both decision surfaces at the default resolution,
+		// bypassing the process-wide cache: the start-up cost of a
+		// surface-backed daemon or sweep.
+		{Name: "micro/surface/compile", Smoke: true, New: surfaceCompile},
 		// End-to-end Admit+Release per op, per controller.
 		{Name: "micro/admit/facs-exact", New: admitFACS(0)},
 		{Name: "micro/admit/facs-surface", New: admitFACS(sc.Surface)},
@@ -359,6 +363,27 @@ func flc2Surface() (Body, error) {
 		for i := 0; i < n; i++ {
 			if _, err := s.Infer(0.7, 5, 22); err != nil {
 				return 0, err
+			}
+		}
+		return 0, nil
+	}, nil
+}
+
+func surfaceCompile() (Body, error) {
+	flc1, err := core.NewFLC1()
+	if err != nil {
+		return nil, err
+	}
+	flc2, err := core.NewFLC2()
+	if err != nil {
+		return nil, err
+	}
+	return func(n int) (int64, error) {
+		for i := 0; i < n; i++ {
+			for _, e := range [...]*fuzzy.Engine{flc1, flc2} {
+				if _, err := fuzzy.NewSurface(e, fuzzy.DefaultSurfaceResolution); err != nil {
+					return 0, err
+				}
 			}
 		}
 		return 0, nil
