@@ -8,14 +8,13 @@
 //	facs-server -scheme guard -capacity 40 -guard 8
 //	facs-server -scheme adapt            # adaptive bandwidth degradation
 //	facs-server -scheme adapt-fuzzy      # degradation gated by the fuzzy pipeline
-//	facs-server -cells 7 -queue 512      # 7-cell daemon, deeper per-cell queues
+//	facs-server -cells 7 -queue 512      # 7-cell daemon, more requests may wait per cell
 //	facs-server -surface 33              # fuzzy schemes on precomputed decision surfaces
 //
 // Schemes: facsp (FACS-P, the paper's proposal), facs (the previous fuzzy
 // system), guard (cutoff priority), sharing (complete sharing), adapt and
 // adapt-fuzzy (adaptive bandwidth degradation, internal/adapt), optimal
-// (the value-iteration threshold policy, internal/optimal) and learned
-// (the table-compiled distilled controller, internal/learned).
+// (the value-iteration threshold policy, internal/optimal).
 //
 // The daemon serves -cells independent cells, each with its own admission
 // controller of the chosen scheme and its own lock; requests address a
@@ -97,13 +96,11 @@
 // GET /metrics serves Prometheus text exposition: per-cell admission
 // counters (facs_admits_total, facs_blocks_total, facs_drops_total,
 // labelled by cell and class), facs_shed_total, the occupancy/capacity/
-// degradation gauges, the facs_hotness expdecay demand gauge and the
-// process-wide decision-surface cache counters. GET /hotcells serves a
-// JSON ranking of the cells by recent admission demand, hottest first
-// (?n=K limits it to the K hottest). -hotness-halflife sets the decay
-// half-life of the demand estimate. The counters live on the admission
-// hot path as plain atomic adds, so scraping never takes a cell lock and
-// never slows admission.
+// degradation gauges and the process-wide decision-surface cache
+// counters. A cell's admission demand is the sum of its admits, blocks,
+// drops and shed counters; a Prometheus rate() over them gives it over any
+// window. The counters live on the admission hot path as plain atomic
+// adds, so scraping never takes a cell lock and never slows admission.
 //
 // # Decision surfaces
 //
@@ -132,7 +129,6 @@ import (
 	"facsp/internal/bsd"
 	"facsp/internal/cac"
 	"facsp/internal/core"
-	"facsp/internal/learned"
 	"facsp/internal/optimal"
 )
 
@@ -148,7 +144,6 @@ type options struct {
 	addr, scheme    string
 	capacity, guard float64
 	cells, queue    int
-	halfLife        time.Duration
 	surface         int
 }
 
@@ -156,13 +151,12 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("facs-server", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:4077", "listen address")
-	fs.StringVar(&o.scheme, "scheme", "facsp", "admission scheme: facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal, learned")
+	fs.StringVar(&o.scheme, "scheme", "facsp", "admission scheme: facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal")
 	fs.Float64Var(&o.capacity, "capacity", 40, "cell capacity in bandwidth units")
 	fs.Float64Var(&o.guard, "guard", 8, "guard band in BU (guard scheme only)")
 	fs.IntVar(&o.cells, "cells", 1, "number of independent cells the daemon serves")
-	fs.IntVar(&o.queue, "queue", bsd.DefaultQueueDepth, "per-cell bounded request queue depth")
-	metrics := fs.String("metrics", "", "HTTP observability listen address (/metrics, /hotcells); empty disables")
-	fs.DurationVar(&o.halfLife, "hotness-halflife", bsd.DefaultHotnessHalfLife, "half-life of the per-cell hotness demand estimate")
+	fs.IntVar(&o.queue, "queue", bsd.DefaultQueueDepth, "bound on requests waiting at a cell's lock behind the running one; more are shed as overloaded")
+	metrics := fs.String("metrics", "", "HTTP observability listen address (/metrics); empty disables")
 	fs.IntVar(&o.surface, "surface", 0, "run the fuzzy schemes on precomputed decision surfaces with this per-axis resolution (0 = exact inference)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -224,7 +218,7 @@ func listen(o options) (*bsd.Server, net.Listener, error) {
 		}
 		ctrls[i] = ctrl
 	}
-	srv, err := bsd.New(bsd.Config{Cells: ctrls, QueueDepth: o.queue, HotnessHalfLife: o.halfLife})
+	srv, err := bsd.New(bsd.Config{Cells: ctrls, QueueDepth: o.queue})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,9 +265,7 @@ func buildController(scheme string, capacity, guard float64, surface int) (cac.C
 		return adapt.NewFuzzy(cfg, pcfg)
 	case "optimal":
 		return optimal.ForCapacity(capacity)
-	case "learned":
-		return learned.New(capacity)
 	default:
-		return nil, fmt.Errorf("unknown scheme %q (have facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal, learned)", scheme)
+		return nil, fmt.Errorf("unknown scheme %q (have facsp, facs, guard, sharing, adapt, adapt-fuzzy, optimal)", scheme)
 	}
 }

@@ -26,7 +26,6 @@ func TestBuildController(t *testing.T) {
 		{scheme: "adapt", want: "adapt"},
 		{scheme: "adapt-fuzzy", want: "adapt-fuzzy"},
 		{scheme: "optimal", want: "optimal"},
-		{scheme: "learned", want: "learned"},
 		{scheme: "mystery", wantErr: true},
 	}
 	for _, tt := range tests {

@@ -74,7 +74,7 @@ func TestRunNamedScenarioWritesCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(data)
-	for _, scheme := range []string{"FACS-P", "FACS", "SCC", "guard-channel", "adapt", "adapt-fuzzy", "optimal", "learned"} {
+	for _, scheme := range []string{"FACS-P", "FACS", "SCC", "guard-channel", "adapt", "adapt-fuzzy", "optimal"} {
 		if !strings.Contains(out, scheme) {
 			t.Errorf("scenario CSV missing scheme %s:\n%s", scheme, out)
 		}

@@ -222,10 +222,10 @@ func TestDocsBenchBaselineMatchesRegistry(t *testing.T) {
 
 // TestDocsMetricsFamiliesDocumented diffs the observability docs against
 // the live metrics registry in both directions: every Prometheus family
-// the process can expose — per-cell series, hotness, registered scalars —
-// must appear in the EXPERIMENTS.md family table, every family the table
-// lists must exist, and both doors must document the endpoints and the
-// server flag. Importing facsp (above) pulls in internal/core, so the
+// the process can expose — per-cell series and registered scalars — must
+// appear in the EXPERIMENTS.md family table, every family the table lists
+// must exist, and both doors must document the endpoint, the server flag
+// and per-cell demand as a rate() over the counter families. Importing facsp (above) pulls in internal/core, so the
 // surface-cache scalar families are registered by the time this runs,
 // exactly as in a live daemon.
 func TestDocsMetricsFamiliesDocumented(t *testing.T) {
@@ -256,7 +256,7 @@ func TestDocsMetricsFamiliesDocumented(t *testing.T) {
 	}
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
 		content := readDoc(t, doc)
-		for _, token := range []string{"/metrics", "/hotcells", "-metrics", "-hotness-halflife"} {
+		for _, token := range []string{"/metrics", "-metrics", "rate("} {
 			if !strings.Contains(content, token) {
 				t.Errorf("%s does not mention %s", doc, token)
 			}

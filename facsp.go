@@ -73,7 +73,6 @@ import (
 	"facsp/internal/cellsim"
 	"facsp/internal/core"
 	"facsp/internal/experiment"
-	"facsp/internal/learned"
 	"facsp/internal/optimal"
 	"facsp/internal/plot"
 	"facsp/internal/rng"
@@ -254,14 +253,6 @@ func NewOptimal(capacityBU float64) (Controller, error) {
 	return optimal.ForCapacity(capacityBU)
 }
 
-// NewLearned builds the learned controller: a small neural policy
-// distilled offline from the optimal policy's decisions (cmd/facs-train),
-// shipped as a versioned weights artifact and compiled at construction
-// into the same kind of allocation-free lookup table NewOptimal uses.
-func NewLearned(capacityBU float64) (Controller, error) {
-	return learned.New(capacityBU)
-}
-
 // SimConfig re-exports the cellular simulator configuration.
 type SimConfig = cellsim.Config
 
@@ -333,7 +324,7 @@ func ScenarioFromJSON(data []byte) (*Scenario, error) { return scenario.FromJSON
 func ScenarioFromFile(path string) (*Scenario, error) { return scenario.FromFile(path) }
 
 // RunScenario ranks every admission scheme (FACS, FACS-P, SCC,
-// guard-channel, adapt, adapt-fuzzy, optimal, learned) on one scenario:
+// guard-channel, adapt, adapt-fuzzy, optimal) on one scenario:
 // each scheme sweeps the same load axis under the scenario's workload and
 // returns one curve of the paper's headline metric (percentage of
 // accepted centre-cell calls). Sweeps are sharded like RunFigure: curves

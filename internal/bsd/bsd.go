@@ -30,10 +30,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"facsp/internal/cac"
-	"facsp/internal/hotness"
 	"facsp/internal/metrics"
 	"facsp/internal/traffic"
 	"facsp/internal/wire"
@@ -44,12 +42,6 @@ import (
 // bursts of a few hundred concurrent sessions, shallow enough that a
 // stalled controller sheds instead of piling up waiters.
 const DefaultQueueDepth = 256
-
-// DefaultHotnessHalfLife is the hotness tracker's half-life when
-// Config.HotnessHalfLife is unset: long enough that a flash crowd stays
-// visible across scrape intervals, short enough that the ranking follows
-// the load within a minute.
-const DefaultHotnessHalfLife = 30 * time.Second
 
 // Config parameterises a daemon.
 type Config struct {
@@ -63,10 +55,6 @@ type Config struct {
 	// are already waiting is shed with a wire.CodeOverloaded error
 	// response. Zero or negative means DefaultQueueDepth.
 	QueueDepth int
-	// HotnessHalfLife configures the per-cell admission-demand tracker
-	// (internal/hotness): the time in which an idle cell's hotness halves.
-	// Zero or negative means DefaultHotnessHalfLife.
-	HotnessHalfLife time.Duration
 }
 
 // cell is one shard of admission state: a controller plus the lock that
@@ -99,12 +87,9 @@ type grantKey struct {
 type Server struct {
 	cells []*cell
 
-	// metrics and hot are the daemon's observability plane: one dense
-	// counter/gauge row and one decaying demand counter per cell, served
-	// over HTTP by MetricsHandler.
+	// metrics is the daemon's observability plane: one dense
+	// counter/gauge row per cell, served over HTTP by MetricsHandler.
 	metrics *metrics.Registry
-	hot     *hotness.Tracker
-	start   time.Time
 
 	// nextID remaps client-chosen connection IDs (which are only unique
 	// within a session) to server-unique cac.Request IDs, so schemes that
@@ -132,23 +117,13 @@ func New(cfg Config) (*Server, error) {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	halfLife := cfg.HotnessHalfLife
-	if halfLife <= 0 {
-		halfLife = DefaultHotnessHalfLife
-	}
 	reg, err := metrics.New(len(cfg.Cells))
-	if err != nil {
-		return nil, fmt.Errorf("bsd: %w", err)
-	}
-	hot, err := hotness.New(len(cfg.Cells), halfLife.Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("bsd: %w", err)
 	}
 	s := &Server{
 		conns:      make(map[net.Conn]bool),
 		metrics:    reg,
-		hot:        hot,
-		start:      time.Now(),
 		maxPending: int64(depth) + 1,
 	}
 	for i, ctrl := range cfg.Cells {
@@ -185,14 +160,6 @@ func (s *Server) Shed() uint64 { return s.shed.Load() }
 // Metrics returns the daemon's per-cell telemetry registry. It is live:
 // counters keep moving while the daemon serves.
 func (s *Server) Metrics() *metrics.Registry { return s.metrics }
-
-// Hotness returns the daemon's per-cell admission-demand tracker. Its
-// time axis is seconds since the daemon was built (see Uptime).
-func (s *Server) Hotness() *hotness.Tracker { return s.hot }
-
-// Uptime returns the seconds since the daemon was built — the "now" of
-// the hotness tracker's time axis.
-func (s *Server) Uptime() float64 { return time.Since(s.start).Seconds() }
 
 // Serve accepts connections on ln until Close is called. It always
 // returns a non-nil error; after Close the error is net.ErrClosed. When
@@ -416,9 +383,6 @@ func (s *Server) process(req wire.Request, grants map[grantKey]cac.Request) wire
 		// Client IDs are session-scoped; see nextID.
 		creq.ID = s.nextID.Add(1)
 		class, _ = wire.ParseClass(req.Class) // validated above
-		// Admission demand — including requests about to be shed — feeds
-		// the cell's decaying hotness signal.
-		s.hot.Record(req.Cell, s.Uptime())
 	case wire.OpRelease:
 		var ok bool
 		if creq, ok = grants[key]; !ok {

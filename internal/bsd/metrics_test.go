@@ -1,18 +1,15 @@
 package bsd
 
 import (
-	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"facsp/internal/baseline"
-	"facsp/internal/cac"
 	"facsp/internal/metrics"
+	"facsp/internal/traffic"
+	"facsp/internal/wire"
 )
 
 // startMultiCell launches a daemon of complete-sharing cells — fully
@@ -20,41 +17,15 @@ import (
 // expectations are exact.
 func startMultiCell(t *testing.T, cells int, capacity float64) (addr string, srv *Server, shutdown func()) {
 	t.Helper()
-	ctrls := make([]cac.Controller, cells)
-	for i := range ctrls {
-		c, err := baseline.NewCompleteSharing(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrls[i] = c
-	}
-	srv, err := New(Config{Cells: ctrls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	return ln.Addr().String(), srv, func() {
-		_ = srv.Close()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Error("server did not shut down")
-		}
-	}
+	return startConfigServer(t, Config{Cells: sharingCells(t, cells, capacity)})
 }
 
 // TestCounterAccounting drives a deterministic admission sequence and
-// checks every counter and gauge lands in the right cell row and column.
+// checks every counter and gauge lands in the right cell row and column,
+// and that each cell's admits + blocks + drops + shed counts its admit
+// attempts — the demand signal the docs point operators to.
 func TestCounterAccounting(t *testing.T) {
-	addr, srv, shutdown := startMultiCell(t, 2, 10)
+	addr, srv, shutdown := startConfigServer(t, Config{Cells: sharingCells(t, 2, 10), QueueDepth: 1})
 	defer shutdown()
 	cl, err := Dial(addr)
 	if err != nil {
@@ -76,10 +47,16 @@ func TestCounterAccounting(t *testing.T) {
 	if resp, err := cl.AdmitWith(4, "video", AdmitOptions{Handoff: true}); err != nil || resp.Accept {
 		t.Fatalf("expected video drop, got %+v, %v", resp, err)
 	}
-	// Cell 1: one text admit.
+	// Cell 1: one text admit, then one shed. Holding the depth-1 cell at
+	// its pending bound stands in for a running request plus its waiter.
 	if resp, err := cl.AdmitWith(5, "text", AdmitOptions{Cell: 1}); err != nil || !resp.Accept {
 		t.Fatalf("cell 1 text admit = %+v, %v", resp, err)
 	}
+	srv.cells[1].pending.Store(srv.maxPending)
+	if resp, err := cl.AdmitWith(6, "text", AdmitOptions{Cell: 1}); err != nil || resp.Code != wire.CodeOverloaded {
+		t.Fatalf("expected cell 1 shed, got %+v, %v", resp, err)
+	}
+	srv.cells[1].pending.Store(0)
 
 	reg := srv.Metrics()
 	checks := []struct {
@@ -94,6 +71,7 @@ func TestCounterAccounting(t *testing.T) {
 		{0, metrics.BlocksVideo, 0},
 		{1, metrics.AdmitsText, 1},
 		{1, metrics.AdmitsVoice, 0},
+		{1, metrics.CtrShed, 1},
 	}
 	for _, c := range checks {
 		if got := reg.CounterValue(c.cell, c.c); got != c.want {
@@ -118,16 +96,23 @@ func TestCounterAccounting(t *testing.T) {
 		t.Errorf("cell 0 occupancy after release = %v, want 5", got)
 	}
 
-	// Hotness saw every admission attempt: 4 on cell 0, 1 on cell 1.
-	hot := srv.Hotness()
-	now := srv.Uptime()
-	if c0, c1 := hot.Value(0, now), hot.Value(1, now); c0 <= c1 || c1 <= 0 {
-		t.Errorf("hotness values = %v, %v; want cell0 > cell1 > 0", c0, c1)
+	// Demand identity: every valid admit attempt bumps exactly one of
+	// admits, blocks, drops or shed — 4 attempts on cell 0, 2 on cell 1.
+	for cell, want := range []uint64{4, 2} {
+		got := reg.CounterValue(cell, metrics.CtrShed)
+		for _, cls := range traffic.Classes() {
+			got += reg.CounterValue(cell, metrics.Admits(cls)) +
+				reg.CounterValue(cell, metrics.Blocks(cls)) +
+				reg.CounterValue(cell, metrics.Drops(cls))
+		}
+		if got != want {
+			t.Errorf("cell %d admits+blocks+drops+shed = %d, want %d attempts", cell, got, want)
+		}
 	}
 }
 
-// TestMetricsEndpoint scrapes /metrics and /hotcells after a deterministic
-// burst and checks the rendered exposition and the JSON ranking.
+// TestMetricsEndpoint scrapes /metrics after a deterministic burst and
+// checks the rendered exposition.
 func TestMetricsEndpoint(t *testing.T) {
 	addr, srv, shutdown := startMultiCell(t, 3, 100)
 	defer shutdown()
@@ -137,7 +122,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// Cell 2 hottest (5 attempts), cell 0 warm (2), cell 1 cold.
+	// Five attempts on cell 2, two on cell 0, none on cell 1.
 	id := uint64(1)
 	for i := 0; i < 5; i++ {
 		if _, err := cl.AdmitWith(id, "voice", AdmitOptions{Cell: 2}); err != nil {
@@ -169,63 +154,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`facs_admits_total{cell="1",class="voice"} 0`,
 		`facs_occupancy_bu{cell="2"} 25`,
 		`facs_capacity_bu{cell="1"} 100`,
-		"# TYPE facs_hotness gauge",
 		"# TYPE facs_surface_cache_hits_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
-		}
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/hotcells", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/hotcells status = %d", rec.Code)
-	}
-	var doc struct {
-		HalfLifeS float64 `json:"half_life_s"`
-		UptimeS   float64 `json:"uptime_s"`
-		Cells     []struct {
-			Cell   int     `json:"cell"`
-			Rate   float64 `json:"rate"`
-			Admits uint64  `json:"admits"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("/hotcells JSON: %v\n%s", err, rec.Body.String())
-	}
-	if doc.HalfLifeS != DefaultHotnessHalfLife.Seconds() {
-		t.Errorf("half_life_s = %v", doc.HalfLifeS)
-	}
-	if len(doc.Cells) != 3 {
-		t.Fatalf("ranking has %d cells, want 3", len(doc.Cells))
-	}
-	if doc.Cells[0].Cell != 2 || doc.Cells[1].Cell != 0 || doc.Cells[2].Cell != 1 {
-		t.Errorf("ranking order = %+v, want cells 2,0,1", doc.Cells)
-	}
-	for i := 1; i < len(doc.Cells); i++ {
-		if doc.Cells[i].Rate > doc.Cells[i-1].Rate {
-			t.Errorf("ranking not descending: %+v", doc.Cells)
-		}
-	}
-	if doc.Cells[0].Admits != 5 || doc.Cells[1].Admits != 2 {
-		t.Errorf("ranking admits = %+v", doc.Cells)
-	}
-
-	// ?n=1 limits the ranking; bad n values are rejected.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/hotcells?n=1", nil))
-	var limited struct {
-		Cells []json.RawMessage `json:"cells"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &limited); err != nil || len(limited.Cells) != 1 {
-		t.Errorf("?n=1 returned %d cells (err %v)", len(limited.Cells), err)
-	}
-	for _, bad := range []string{"0", "-3", "x"} {
-		rec = httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/hotcells?n="+bad, nil))
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("?n=%s status = %d, want 400", bad, rec.Code)
 		}
 	}
 
@@ -238,7 +170,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestScrapeWhileAdmitting hammers the daemon with concurrent admission
-// traffic while scraping both endpoints in parallel — the -race lane
+// traffic while scraping /metrics in parallel — the -race lane
 // proves the lock-free counter plane has no torn access.
 func TestScrapeWhileAdmitting(t *testing.T) {
 	addr, srv, shutdown := startMultiCell(t, 4, 1e9)
@@ -264,8 +196,6 @@ func TestScrapeWhileAdmitting(t *testing.T) {
 				}
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-				rec = httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", "/hotcells", nil))
 			}
 		}()
 	}

@@ -26,7 +26,6 @@ import (
 	"facsp/internal/core"
 	"facsp/internal/fuzzy"
 	"facsp/internal/hexgrid"
-	"facsp/internal/learned"
 	"facsp/internal/metrics"
 	"facsp/internal/optimal"
 	"facsp/internal/scc"
@@ -248,21 +247,6 @@ func OptimalFactory(capacity float64) AdmitterFactory {
 	}
 }
 
-// LearnedFactory returns a per-cell admitter factory for the
-// table-compiled learned controller (internal/learned) at the given
-// capacity, serving the committed weights artifact.
-func LearnedFactory(capacity float64) AdmitterFactory {
-	return func() cellsim.Admitter {
-		return cellsim.NewPerCell(func(hexgrid.Coord) cac.Controller {
-			c, err := learned.New(capacity)
-			if err != nil {
-				panic("experiment: " + err.Error())
-			}
-			return c
-		})
-	}
-}
-
 // SCCFactory returns a network-level shadow-cluster admitter factory.
 func SCCFactory() AdmitterFactory {
 	return func() cellsim.Admitter {
@@ -294,8 +278,6 @@ func (o Options) SchemeFactory(id string) (AdmitterFactory, error) {
 		return o.adaptFuzzyFactory(), nil
 	case "optimal":
 		return OptimalFactory(core.CounterMax), nil
-	case "learned":
-		return LearnedFactory(core.CounterMax), nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown scheme %q (have %v)", id, SchemeIDs())
 	}

@@ -11,7 +11,6 @@ import (
 	"facsp/internal/cellsim"
 	"facsp/internal/core"
 	"facsp/internal/hexgrid"
-	"facsp/internal/learned"
 	"facsp/internal/optimal"
 	"facsp/internal/scc"
 	"facsp/internal/scenario"
@@ -46,7 +45,6 @@ var schemeNames = map[string]string{
 	"adapt":       "adapt",
 	"adapt-fuzzy": "adapt-fuzzy",
 	"optimal":     "optimal",
-	"learned":     "learned",
 }
 
 // ErrSchemeNotApplicable marks a scheme that cannot represent a scenario
@@ -141,10 +139,6 @@ func ScenarioSchemeFactory(id string, s *scenario.Scenario, o Options) (Admitter
 	case "optimal":
 		return perCellCapacityFactory(capAt, func(capacityBU float64) (cac.Controller, error) {
 			return optimal.ForCapacity(capacityBU)
-		}), nil
-	case "learned":
-		return perCellCapacityFactory(capAt, func(capacityBU float64) (cac.Controller, error) {
-			return learned.New(capacityBU)
 		}), nil
 	case "scc":
 		if !s.UniformCapacity() {

@@ -68,7 +68,7 @@ func TestRunScenarioSkipsSCCOnHeterogeneousCapacity(t *testing.T) {
 	if names["SCC"] {
 		t.Error("SCC ranked on a heterogeneous-capacity scenario")
 	}
-	for _, want := range []string{"FACS", "FACS-P", "guard-channel", "adapt", "adapt-fuzzy", "optimal", "learned"} {
+	for _, want := range []string{"FACS", "FACS-P", "guard-channel", "adapt", "adapt-fuzzy", "optimal"} {
 		if !names[want] {
 			t.Errorf("scheme %s missing from the ranking (have %v)", want, curves)
 		}

@@ -180,21 +180,6 @@ facs_degraded_conns{cell="1"} 2
 	}
 }
 
-func TestWriteCellGauge(t *testing.T) {
-	var b strings.Builder
-	if err := WriteCellGauge(&b, "facs_hotness", "Demand.", []float64{1.5, 0}); err != nil {
-		t.Fatal(err)
-	}
-	want := `# HELP facs_hotness Demand.
-# TYPE facs_hotness gauge
-facs_hotness{cell="0"} 1.5
-facs_hotness{cell="1"} 0
-`
-	if got := b.String(); got != want {
-		t.Errorf("cell gauge mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
 // The scalar registry is process-global and rejects duplicates, so the test
 // family registers once per process even under -count=N reruns.
 var (
@@ -241,7 +226,7 @@ func TestFamiliesCoverPerCellSeries(t *testing.T) {
 	want := []string{
 		"facs_admits_total", "facs_blocks_total", "facs_drops_total",
 		"facs_shed_total", "facs_occupancy_bu", "facs_capacity_bu",
-		"facs_degraded_conns", "facs_hotness",
+		"facs_degraded_conns",
 	}
 	fams := Families()
 	for i, w := range want {

@@ -12,9 +12,9 @@ import (
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Families lists every Prometheus metric family the repository exposes, in
-// exposition order: the per-cell families of WriteProm, then the hotness
-// gauge, then the registered process-wide scalars as of the call. The docs
-// drift gate checks EXPERIMENTS.md documents each one.
+// exposition order: the per-cell families of WriteProm, then the
+// registered process-wide scalars as of the call. The docs drift gate
+// checks EXPERIMENTS.md documents each one.
 func Families() []string {
 	out := []string{
 		"facs_admits_total",
@@ -24,7 +24,6 @@ func Families() []string {
 		"facs_occupancy_bu",
 		"facs_capacity_bu",
 		"facs_degraded_conns",
-		"facs_hotness",
 	}
 	for _, s := range registeredScalars() {
 		out = append(out, s.name)
@@ -99,20 +98,6 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 			if _, err := fmt.Fprintf(w, "%s{cell=%q} %s\n", f.name, strconv.Itoa(cell), formatFloat(s.Gauge(cell, f.g))); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// WriteCellGauge renders one per-cell gauge family from a dense value
-// slice indexed by cell slot — the hotness tracker's rate vector, say.
-func WriteCellGauge(w io.Writer, name, help string, values []float64) error {
-	if err := header(w, name, help, "gauge"); err != nil {
-		return err
-	}
-	for cell, v := range values {
-		if _, err := fmt.Fprintf(w, "%s{cell=%q} %s\n", name, strconv.Itoa(cell), formatFloat(v)); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -66,8 +66,8 @@ func ForCapacity(capacity float64) (*Controller, error) {
 	return NewFromPolicy(got.(*Policy))
 }
 
-// Policy exposes the controller's solved policy (for tests, docs and the
-// learned controller's offline training).
+// Policy exposes the controller's solved policy, so tests can check that
+// controllers of one capacity share a single cached solve.
 func (c *Controller) Policy() *Policy { return c.policy }
 
 // SchemeName implements cac.Named.

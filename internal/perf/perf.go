@@ -26,7 +26,6 @@ import (
 	"facsp/internal/des"
 	"facsp/internal/experiment"
 	"facsp/internal/fuzzy"
-	"facsp/internal/learned"
 	"facsp/internal/optimal"
 	"facsp/internal/scenario"
 )
@@ -181,12 +180,10 @@ func Registry(sc SweepConfig) []Spec {
 		// ablation-defuzz figure studies the fidelity half).
 		{Name: "micro/admit/facsp-height", New: admitFACSPHeight},
 		{Name: "micro/admit/guard", New: admitGuard},
-		// The computed-optimum suite: the value-iteration threshold policy
-		// and the table-compiled learned controller, end-to-end Admit+Release
-		// — both must stay allocation-free table lookups (alloc_test.go gates
-		// allocs, these specs gate ns/op).
+		// The computed optimum: the value-iteration threshold policy,
+		// end-to-end Admit+Release — it must stay an allocation-free table
+		// lookup (alloc_test.go gates allocs, this spec gates ns/op).
 		{Name: "scheme/optimal", Smoke: true, New: admitOptimal},
-		{Name: "scheme/learned", Smoke: true, New: admitLearned},
 		// Schedule and drain 128 typed events per op; allocation-free in
 		// steady state.
 		{Name: "micro/des/schedule", Smoke: true, New: desSchedule},
@@ -457,16 +454,6 @@ func admitGuard() (Body, error) {
 // setup.
 func admitOptimal() (Body, error) {
 	ctrl, err := optimal.ForCapacity(core.CounterMax)
-	if err != nil {
-		return nil, err
-	}
-	return admitLoop(ctrl), nil
-}
-
-// admitLearned measures the table-compiled learned controller's admission
-// path.
-func admitLearned() (Body, error) {
-	ctrl, err := learned.New(core.CounterMax)
 	if err != nil {
 		return nil, err
 	}
